@@ -2,9 +2,9 @@
 
 Building the experimental setup (HTAP system, labeled workloads, trained
 router, populated knowledge base, explainer) takes a few seconds; the
-harness builds it once and exposes one method per experiment id from
-DESIGN.md.  Benchmarks and examples share the cached default harness via
-:func:`get_default_harness`.
+harness builds it once and exposes one method per experiment the
+``benchmarks/`` suite reproduces.  Benchmarks and examples share the
+cached default harness via :func:`get_default_harness`.
 """
 
 from __future__ import annotations

@@ -28,11 +28,12 @@ export one ``BENCH_<suite>.json`` per suite:
   per-request latency with tracing off, fully traced, and 1%
   head-sampled, plus ``overhead_ratio.*`` scalars gating that the
   instrumentation stays cheap and sampling keeps it near-free;
-* ``sharded_kb`` — scatter-gather retrieval under a concurrent writer:
-  single-shard vs N-shard retrieval latency series with ``p50_speedup`` /
-  ``p95_speedup`` scalars, plus a flat-store equivalence check
-  (``topk_mismatch_errors``) proving sharded top-k returns the same ids
-  as the plain :class:`~repro.knowledge.knowledge_base.KnowledgeBase`.
+* ``sharded_kb`` — partitioned retrieval under a concurrent writer:
+  1-partition vs N-partition retrieval latency series with
+  ``p50_speedup`` / ``p95_speedup`` scalars, plus a flat-store equivalence
+  check (``topk_mismatch_errors``) proving N-partition top-k returns the
+  same ids as one partition of
+  :class:`~repro.knowledge.knowledge_base.KnowledgeBase`.
 
 This module imports :mod:`repro.service` and is therefore *not* re-exported
 from ``repro.bench.__init__`` — the serving layer itself depends on
@@ -58,6 +59,7 @@ from repro.bench.runner import (
     ExperimentStrategy,
     RunResult,
 )
+from repro.bench.stats import percentile
 from repro.service.server import ExplanationService
 
 #: Harness scales the CLI can build.  ``quick`` mirrors the reduced harness
@@ -289,7 +291,7 @@ class ServiceThroughputStrategy(ExperimentStrategy):
                     "concurrent_requests": len(results),
                     "errors": errors,
                     "cache_hits": cache_hits,
-                    "shed": snapshot.get("requests.shed", 0),
+                    "shed": snapshot.get("requests.rejected.queue_full", 0),
                 },
                 operations=operations,
             )
@@ -589,32 +591,31 @@ class ObsOverheadStrategy(ExperimentStrategy):
 
 
 class ShardedKBStrategy(ExperimentStrategy):
-    """Scatter-gather retrieval vs the single shared lock, under writes.
+    """Partitioned retrieval vs one shared lock, under writes.
 
     Two phases per run:
 
-    * **Equivalence** (flat stores, no writer): the sharded KB must return
-      the *same ordered top-k ids* as a plain :class:`KnowledgeBase` for
-      every query — any difference increments ``topk_mismatch_errors``,
-      which the compare gate holds at exactly zero.
+    * **Equivalence** (flat stores, no writer): the N-partition KB must
+      return the *same ordered top-k ids* as a 1-partition KB for every
+      query — any difference increments ``topk_mismatch_errors``, which
+      the compare gate holds at exactly zero.
     * **Contention** (HNSW stores): time the same retrieval workload
-      against the plain single-lock :class:`KnowledgeBase` and an N-shard
-      :class:`ShardedKnowledgeBase` while a writer thread bulk-ingests
-      batches of entries (the expert feedback loop importing corrections).
-      On the plain KB each ``add_many`` holds the one writer-preferring
-      lock for the *entire batch* of expensive HNSW inserts, stalling every
-      retrieval that arrives meanwhile; sharded, the batch write locks one
-      shard per entry in short increments, so retrieval waits for at most
-      an insert or two on the shard it collides with.  ``p50_speedup`` /
-      ``p95_speedup`` (single-shard latency over sharded latency) are the
-      gated scalars; the acceptance bar is p95 ≥ 2×.
+      against a 1-partition and an N-partition :class:`KnowledgeBase`
+      while a writer thread bulk-ingests batches of entries (the expert
+      feedback loop importing corrections).  ``add_many`` takes the owning
+      partition's write lock once per entry.  With one partition every
+      insert still blocks every retrieval, and the writer-preferring lock
+      lets a steady writer starve readers; with N, a retrieval collides
+      with the writer on one partition in N.  ``p50_speedup`` /
+      ``p95_speedup`` (1-partition latency over N-partition latency) are
+      the gated scalars; the acceptance bar is p95 ≥ 2×.
     """
 
     name = "sharded_kb"
 
     def __init__(
         self,
-        num_shards: int = 4,
+        partitions: int = 4,
         entry_pool: int = 480,
         queries: int = 24,
         timed_retrievals: int = 100,
@@ -623,7 +624,7 @@ class ShardedKBStrategy(ExperimentStrategy):
         writer_pause_seconds: float = 0.001,
         max_extra_entries: int = 96,
     ):
-        self.num_shards = num_shards
+        self.partitions = partitions
         self.entry_pool = entry_pool
         self.queries = queries
         self.timed_retrievals = timed_retrievals
@@ -650,7 +651,7 @@ class ShardedKBStrategy(ExperimentStrategy):
             entries.append(
                 dataclasses.replace(
                     source,
-                    entry_id=f"shardbench-{i}",
+                    entry_id=f"kbbench-{i}",
                     embedding=source.embedding + rng.normal(0.0, 0.05, size=dim),
                 )
             )
@@ -660,53 +661,46 @@ class ShardedKBStrategy(ExperimentStrategy):
             for i in range(self.queries)
         ]
         # A dedicated pool the writer thread inserts from (unique ids per
-        # phase so single-shard and sharded phases see identical writes).
+        # phase so both phases see identical writes).
         context.state["writer_rng_seed"] = int(rng.integers(0, 2**31))
 
     # ----------------------------------------------------------- equivalence
     def _check_equivalence(self, context: ExperimentContext) -> int:
         from repro.knowledge.knowledge_base import KnowledgeBase
-        from repro.knowledge.sharding import ShardedKnowledgeBase
 
         entries = context.state["entries"]
-        plain = KnowledgeBase()
-        plain.add_many(entries)
-        sharded = ShardedKnowledgeBase(self.num_shards)
-        sharded.add_many(entries)
+        single = KnowledgeBase()
+        single.add_many(entries)
+        partitioned = KnowledgeBase(partitions=self.partitions)
+        partitioned.add_many(entries)
         mismatches = 0
-        try:
-            for query in context.state["queries"]:
-                expected = [hit.entry.entry_id for hit in plain.retrieve(query, k=self.k).hits]
-                got = [hit.entry.entry_id for hit in sharded.retrieve(query, k=self.k).hits]
-                if expected != got:
-                    mismatches += 1
-        finally:
-            sharded.close()
+        for query in context.state["queries"]:
+            expected = [hit.entry.entry_id for hit in single.retrieve(query, k=self.k).hits]
+            got = [hit.entry.entry_id for hit in partitioned.retrieve(query, k=self.k).hits]
+            if expected != got:
+                mismatches += 1
         return mismatches
 
     # ------------------------------------------------------------ contention
-    def _timed_phase(self, context: ExperimentContext, shards: int, phase: str) -> tuple[list[float], int]:
+    def _timed_phase(
+        self, context: ExperimentContext, partitions: int, phase: str
+    ) -> tuple[list[float], int]:
         """Retrieval latencies under a bulk-ingesting writer thread.
 
-        ``shards == 1`` drives the plain single-lock
-        :class:`~repro.knowledge.knowledge_base.KnowledgeBase` — the exact
-        baseline the sharded layer replaces; otherwise an N-shard
-        :class:`~repro.knowledge.sharding.ShardedKnowledgeBase`.  Both see
-        the identical write workload: batches of HNSW inserts (the
-        expensive path) with the oldest extras removed to bound growth and
-        keep the tombstone/ef-inflation path exercised under load.
+        Both phases see the identical write workload: batches of HNSW
+        inserts (the expensive path) with the oldest extras removed to
+        bound growth and keep the tombstone/ef-inflation path exercised
+        under load.
         """
         from repro.knowledge.knowledge_base import KnowledgeBase
-        from repro.knowledge.sharding import ShardedKnowledgeBase
         from repro.knowledge.vector_store import HNSWVectorStore
 
         entries = context.state["entries"]
         queries = context.state["queries"]
-        factory = lambda: HNSWVectorStore(M=8, ef_construction=48, ef_search=24)  # noqa: E731
-        if shards == 1:
-            kb: Any = KnowledgeBase(vector_store=factory())
-        else:
-            kb = ShardedKnowledgeBase(shards, store_factory=factory)
+        kb = KnowledgeBase(
+            lambda: HNSWVectorStore(M=8, ef_construction=48, ef_search=24),
+            partitions=partitions,
+        )
         kb.add_many(entries)
         rng = np.random.default_rng(context.state["writer_rng_seed"])
         dim = entries[0].embedding.shape[0]
@@ -738,8 +732,7 @@ class ShardedKBStrategy(ExperimentStrategy):
                 if self.writer_pause_seconds:
                     time.sleep(self.writer_pause_seconds)
 
-        # Warm the retrieval path (and the sharded fan-out pool) before the
-        # writer starts, so thread spin-up never lands in the timed series.
+        # Warm the retrieval path before the writer starts.
         for _ in range(3):
             kb.retrieve(queries[0], k=self.k)
         thread = threading.Thread(target=writer, name=f"kb-writer-{phase}", daemon=True)
@@ -754,36 +747,32 @@ class ShardedKBStrategy(ExperimentStrategy):
         finally:
             stop.set()
             thread.join(timeout=10.0)
-            if shards > 1:
-                kb.close()
         return latencies, writes
-
-    @staticmethod
-    def _quantile(values: list[float], q: float) -> float:
-        ordered = sorted(values)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
 
     def execute(self, context: ExperimentContext) -> RunResult:
         mismatches = self._check_equivalence(context)
         single, single_writes = self._timed_phase(context, 1, "single")
-        sharded, sharded_writes = self._timed_phase(context, self.num_shards, "sharded")
-        single_p50 = self._quantile(single, 0.50)
-        single_p95 = self._quantile(single, 0.95)
-        sharded_p50 = self._quantile(sharded, 0.50)
-        sharded_p95 = self._quantile(sharded, 0.95)
+        partitioned, partitioned_writes = self._timed_phase(
+            context, self.partitions, "partitioned"
+        )
+        single_p50 = percentile(single, 0.50)
+        single_p95 = percentile(single, 0.95)
+        partitioned_p50 = percentile(partitioned, 0.50)
+        partitioned_p95 = percentile(partitioned, 0.95)
+        # Metric names predate partitions; they stay so the committed
+        # baseline still compares.
         return RunResult(
             metrics={
                 "retrieve_seconds.single_shard": single,
-                "retrieve_seconds.sharded": sharded,
-                "p50_speedup": single_p50 / sharded_p50 if sharded_p50 > 0 else 0.0,
-                "p95_speedup": single_p95 / sharded_p95 if sharded_p95 > 0 else 0.0,
+                "retrieve_seconds.sharded": partitioned,
+                "p50_speedup": single_p50 / partitioned_p50 if partitioned_p50 > 0 else 0.0,
+                "p95_speedup": single_p95 / partitioned_p95 if partitioned_p95 > 0 else 0.0,
             },
             counters={
                 "topk_mismatch_errors": mismatches,
                 "equivalence_queries": len(context.state["queries"]),
                 "writer_ops_single_shard": single_writes,
-                "writer_ops_sharded": sharded_writes,
+                "writer_ops_sharded": partitioned_writes,
             },
             operations=2 * self.timed_retrievals + len(context.state["queries"]),
         )

@@ -3,7 +3,8 @@
 The paper leaves knowledge-base maintenance as future work but names the two
 policies it has in mind: *automatically selecting representative queries* and
 *expiring stale queries*.  Both are implemented here so the curation ablation
-(benchmark E12 in DESIGN.md) can quantify them.
+(:meth:`repro.bench.harness.ExperimentHarness.curation_experiment`) can
+quantify them.
 
 * :func:`select_representative_queries` — a k-center (farthest-point) sweep
   over plan-pair embeddings; it picks a small set of entries that covers the

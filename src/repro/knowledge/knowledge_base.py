@@ -8,24 +8,47 @@ existing ones at any time (the paper's feedback loop).
 
 The backing vector index is pluggable (flat or HNSW) so the KB-scaling
 ablation can compare both.
+
+**Tenants.**  Every operation takes a ``tenant`` (default
+:data:`DEFAULT_TENANT`).  A tenant's entries are invisible to every other
+tenant.  The default namespace doubles as the shared corpus: tenant
+retrieval searches it too, so tenants are grounded without seeding each
+namespace, and a tenant entry hides a shared entry with the same id.
+
+**Partitions.**  ``partitions=N`` splits every tenant's entries into N
+lock-striped namespaces, placed by a stable hash of the entry id.  Each
+(partition, tenant) namespace owns its vector store and its read–write
+lock, so a write holds one namespace's lock while retrieval proceeds on the
+others.  ``retrieve`` searches the namespaces one after another on the
+caller's thread and merges their hits by ``(distance, entry_id)``; with an
+exact (flat) store the top-K is the same at every N.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Container, Iterator
 
 import numpy as np
 
 from repro.knowledge.entry import KnowledgeEntry
 from repro.knowledge.locking import ReadWriteLock
-from repro.knowledge.vector_store import FlatVectorStore, SearchResult, VectorStore
+from repro.knowledge.vector_store import FlatVectorStore, VectorStore
 from repro.obs.tracing import get_tracer
 
-#: Signature of a knowledge-base write listener: ``(event, entry_id)`` where
-#: ``event`` is one of ``"add"``, ``"remove"``, ``"correct"``.
-WriteListener = Callable[[str, str], None]
+#: Tenant every un-namespaced operation belongs to.  Its namespace is the
+#: shared corpus, and folding it into a cache key is a no-op, so
+#: single-tenant deployments keep their pre-tenancy keys.
+DEFAULT_TENANT = "default"
+
+#: Signature of a knowledge-base write listener: ``(event, entry_id, tenant)``
+#: where ``event`` is one of ``"add"``, ``"remove"``, ``"correct"``.
+WriteListener = Callable[[str, str, str], None]
 
 
 @dataclass
@@ -47,6 +70,7 @@ class RetrievalResult:
     """Top-K retrieval outcome with the time it took."""
 
     hits: list[RetrievedKnowledge]
+    #: In-lock vector-search time, summed over the namespaces searched.
     search_seconds: float
 
     @property
@@ -57,22 +81,82 @@ class RetrievalResult:
         return [hit.entry for hit in self.hits]
 
 
+class _Namespace:
+    """One (partition, tenant) slice: its entries, its index, its lock."""
+
+    __slots__ = ("entries", "store", "lock")
+
+    def __init__(self, store: VectorStore):
+        self.entries: dict[str, KnowledgeEntry] = {}
+        self.store = store
+        self.lock = ReadWriteLock()
+
+    def search(
+        self, query: np.ndarray, k: int, hidden: Container[str]
+    ) -> tuple[list[tuple[float, KnowledgeEntry]], float]:
+        """Top-K ``(distance, entry)`` pairs whose id is not in ``hidden``,
+        plus the in-lock search time.
+
+        A hidden id frees a slot, so the store is asked again for more
+        until K visible hits come back or the store runs out.
+        """
+        with self.lock.read_locked():
+            start = time.perf_counter()
+            want = k
+            while True:
+                raw = self.store.search(query, want)
+                pairs = [
+                    (result.distance, self.entries[result.key])
+                    for result in raw
+                    if result.key in self.entries and result.key not in hidden
+                ]
+                if len(pairs) >= k or len(raw) < want:
+                    return pairs, time.perf_counter() - start
+                want += k - len(pairs)
+
+
+_NOTHING_HIDDEN: Container[str] = frozenset()
+
+
+def _unknown(entry_id: str, tenant: str) -> KeyError:
+    return KeyError(f"unknown entry id {entry_id!r} for tenant {tenant!r}")
+
+
+def _merge_key(pair: tuple[float, KnowledgeEntry]) -> tuple[float, str]:
+    return pair[0], pair[1].entry_id
+
+
 class KnowledgeBase:
     """Embedding-keyed store of historical queries and expert explanations.
 
-    Thread safety: all operations take a :class:`ReadWriteLock`, so any
-    number of concurrent retrievals proceed in parallel while expert writes
-    (add / remove / correct) get exclusive access.  Write listeners — used by
-    the serving layer to invalidate its explanation cache — fire *after* the
-    write lock is released, so a listener may safely read the knowledge base.
+    ``store_factory`` builds the vector store of each (partition, tenant)
+    namespace; pass ``lambda: HNSWVectorStore(...)`` for the approximate
+    index.  ``partitions`` is fixed at construction.
+
+    Thread safety: writes (add / remove / correct) hold the write lock of
+    the one namespace that owns the entry; retrieval holds each searched
+    namespace's read lock only while searching it.  Write listeners — used
+    by the serving layer to invalidate its caches — fire *after* the lock
+    is released, so a listener may safely read the knowledge base.
     """
 
-    def __init__(self, vector_store: VectorStore | None = None):
-        self.vector_store = vector_store if vector_store is not None else FlatVectorStore()
-        self._entries: dict[str, KnowledgeEntry] = {}
-        self._insert_counter = 0
-        self._lock = ReadWriteLock()
+    def __init__(
+        self,
+        store_factory: Callable[[], VectorStore] = FlatVectorStore,
+        *,
+        partitions: int = 1,
+    ):
+        if partitions < 1:
+            raise ValueError("partitions must be at least 1")
+        self.partitions = partitions
+        self._store_factory = store_factory
+        #: tenant -> one namespace per partition; replaced copy-on-write so
+        #: readers never see a dict mid-update.
+        self._namespaces: dict[str, tuple[_Namespace, ...]] = {}
+        self._namespaces_lock = threading.Lock()
+        self._insert_counter = itertools.count(1)
         self._write_listeners: list[WriteListener] = []
+        self._tenant_namespaces(DEFAULT_TENANT)
 
     # -------------------------------------------------------------- listeners
     def add_write_listener(self, listener: WriteListener) -> None:
@@ -82,105 +166,153 @@ class KnowledgeBase:
     def remove_write_listener(self, listener: WriteListener) -> None:
         self._write_listeners.remove(listener)
 
-    def _notify(self, event: str, entry_id: str) -> None:
+    def _notify(self, event: str, entry_id: str, tenant: str) -> None:
         for listener in list(self._write_listeners):
-            listener(event, entry_id)
+            listener(event, entry_id, tenant)
+
+    # ------------------------------------------------------------- placement
+    def _partition(self, entry_id: str) -> int:
+        if self.partitions == 1:
+            return 0
+        return zlib.crc32(entry_id.encode("utf-8")) % self.partitions
+
+    def _tenant_namespaces(self, tenant: str) -> tuple[_Namespace, ...]:
+        """The tenant's namespaces, created on its first write."""
+        namespaces = self._namespaces.get(tenant)
+        if namespaces is None:
+            with self._namespaces_lock:
+                namespaces = self._namespaces.get(tenant)
+                if namespaces is None:
+                    namespaces = tuple(
+                        _Namespace(self._store_factory()) for _ in range(self.partitions)
+                    )
+                    self._namespaces = {**self._namespaces, tenant: namespaces}
+        return namespaces
+
+    def _owner(self, entry_id: str, tenant: str) -> _Namespace | None:
+        namespaces = self._namespaces.get(tenant)
+        return None if namespaces is None else namespaces[self._partition(entry_id)]
 
     # ------------------------------------------------------------------ write
-    def _add_unlocked(self, entry: KnowledgeEntry) -> None:
-        if entry.entry_id in self._entries:
-            raise KeyError(f"duplicate entry id {entry.entry_id!r}")
-        self._insert_counter += 1
-        entry.inserted_at = self._insert_counter
-        self._entries[entry.entry_id] = entry
-        self.vector_store.add(entry.entry_id, entry.embedding)
+    def _insert(self, entry: KnowledgeEntry, tenant: str) -> None:
+        namespace = self._tenant_namespaces(tenant)[self._partition(entry.entry_id)]
+        with namespace.lock.write_locked():
+            if entry.entry_id in namespace.entries:
+                raise KeyError(f"duplicate entry id {entry.entry_id!r}")
+            entry.inserted_at = next(self._insert_counter)
+            namespace.entries[entry.entry_id] = entry
+            namespace.store.add(entry.entry_id, entry.embedding)
 
-    def add(self, entry: KnowledgeEntry) -> None:
+    def add(self, entry: KnowledgeEntry, *, tenant: str = DEFAULT_TENANT) -> None:
         """Insert a new entry (raises on duplicate ids)."""
-        with self._lock.write_locked():
-            self._add_unlocked(entry)
-        self._notify("add", entry.entry_id)
+        self._insert(entry, tenant)
+        self._notify("add", entry.entry_id, tenant)
 
-    def add_many(self, entries: list[KnowledgeEntry]) -> None:
-        with self._lock.write_locked():
-            for entry in entries:
-                self._add_unlocked(entry)
+    def add_many(self, entries: list[KnowledgeEntry], *, tenant: str = DEFAULT_TENANT) -> None:
+        """Insert entries one lock hold each, so a bulk import never stalls
+        retrieval for longer than one insert.  Each insert is announced as
+        it lands, so a duplicate id part-way through leaves no added entry
+        unannounced."""
         for entry in entries:
-            self._notify("add", entry.entry_id)
+            self._insert(entry, tenant)
+            self._notify("add", entry.entry_id, tenant)
 
-    def remove(self, entry_id: str) -> KnowledgeEntry:
+    @contextmanager
+    def _write_existing(self, entry_id: str, tenant: str) -> Iterator[_Namespace]:
+        """Write-lock the namespace holding ``entry_id``, or raise KeyError."""
+        namespace = self._owner(entry_id, tenant)
+        if namespace is None:
+            raise _unknown(entry_id, tenant)
+        with namespace.lock.write_locked():
+            if entry_id not in namespace.entries:
+                raise _unknown(entry_id, tenant)
+            yield namespace
+
+    def remove(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> KnowledgeEntry:
         """Remove an entry (used by the stale-expiry curation policy)."""
-        with self._lock.write_locked():
-            if entry_id not in self._entries:
-                raise KeyError(f"unknown entry id {entry_id!r}")
-            self.vector_store.remove(entry_id)
-            removed = self._entries.pop(entry_id)
-        self._notify("remove", entry_id)
+        with self._write_existing(entry_id, tenant) as namespace:
+            namespace.store.remove(entry_id)
+            removed = namespace.entries.pop(entry_id)
+        self._notify("remove", entry_id, tenant)
         return removed
 
-    def correct(self, entry_id: str, corrected_explanation: str, factors: tuple[str, ...] | None = None) -> None:
+    def correct(
+        self,
+        entry_id: str,
+        corrected_explanation: str,
+        factors: tuple[str, ...] | None = None,
+        *,
+        tenant: str = DEFAULT_TENANT,
+    ) -> None:
         """Apply an expert correction to an existing entry (paper's feedback loop)."""
-        with self._lock.write_locked():
-            try:
-                entry = self._entries[entry_id]
-            except KeyError:
-                raise KeyError(f"unknown entry id {entry_id!r}") from None
-            entry.apply_correction(corrected_explanation, factors)
-        self._notify("correct", entry_id)
+        with self._write_existing(entry_id, tenant) as namespace:
+            namespace.entries[entry_id].apply_correction(corrected_explanation, factors)
+        self._notify("correct", entry_id, tenant)
 
     # ------------------------------------------------------------------- read
-    def get(self, entry_id: str) -> KnowledgeEntry:
-        with self._lock.read_locked():
-            try:
-                return self._entries[entry_id]
-            except KeyError:
-                raise KeyError(f"unknown entry id {entry_id!r}") from None
+    def get(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> KnowledgeEntry:
+        namespace = self._owner(entry_id, tenant)
+        entry = None if namespace is None else namespace.entries.get(entry_id)
+        if entry is None:
+            raise _unknown(entry_id, tenant)
+        return entry
 
-    def __len__(self) -> int:
-        with self._lock.read_locked():
-            return len(self._entries)
+    def contains(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> bool:
+        namespace = self._owner(entry_id, tenant)
+        return namespace is not None and entry_id in namespace.entries
 
     def __contains__(self, entry_id: str) -> bool:
-        with self._lock.read_locked():
-            return entry_id in self._entries
+        return self.contains(entry_id)
 
-    def entries(self) -> list[KnowledgeEntry]:
-        with self._lock.read_locked():
-            return list(self._entries.values())
+    def count(self, *, tenant: str = DEFAULT_TENANT) -> int:
+        return sum(len(namespace.entries) for namespace in self._namespaces.get(tenant, ()))
+
+    def __len__(self) -> int:
+        """Entries across every tenant."""
+        return sum(
+            len(namespace.entries)
+            for namespaces in self._namespaces.values()
+            for namespace in namespaces
+        )
+
+    def entries(self, *, tenant: str = DEFAULT_TENANT) -> list[KnowledgeEntry]:
+        collected: list[KnowledgeEntry] = []
+        for namespace in self._namespaces.get(tenant, ()):
+            with namespace.lock.read_locked():
+                collected.extend(namespace.entries.values())
+        return collected
 
     # ---------------------------------------------------------------- retrieve
-    def search_entries(
-        self, embedding: np.ndarray, k: int
-    ) -> tuple[list[tuple[KnowledgeEntry, float]], float]:
-        """Raw top-K ``(entry, distance)`` pairs plus the in-lock search time.
-
-        The locked building block under :meth:`retrieve` — also what a
-        sharded wrapper calls per shard, so each shard search holds only
-        that shard's read lock.
-        """
-        with self._lock.read_locked():
-            start = time.perf_counter()
-            raw: list[SearchResult] = self.vector_store.search(
-                np.asarray(embedding, dtype=np.float64), k
-            )
-            elapsed = time.perf_counter() - start
-            pairs = [
-                (self._entries[result.key], result.distance)
-                for result in raw
-                if result.key in self._entries
-            ]
-        return pairs, elapsed
-
-    def retrieve(self, embedding: np.ndarray, k: int = 2) -> RetrievalResult:
+    def retrieve(
+        self, embedding: np.ndarray, k: int = 2, *, tenant: str = DEFAULT_TENANT
+    ) -> RetrievalResult:
         """Top-K most similar historical plan pairs for ``embedding``.
 
-        ``k=2`` is the paper's default retrieval depth.
+        ``k=2`` is the paper's default retrieval depth.  A non-default
+        tenant sees its own entries plus the shared corpus, minus the
+        shared entries its own ids hide.
         """
-        with get_tracer().span("kb.retrieve", k=k) as span:
-            pairs, elapsed = self.search_entries(embedding, k)
+        query = np.asarray(embedding, dtype=np.float64)
+        with get_tracer().span("kb.retrieve", k=k, tenant=tenant) as span:
+            own = self._namespaces.get(tenant, ())
+            targets = [(namespace, _NOTHING_HIDDEN) for namespace in own]
+            if tenant != DEFAULT_TENANT:
+                # Placement hashes the entry id alone, so a tenant entry and
+                # the shared entry it hides sit in the same partition.
+                targets.extend(
+                    (shared, own[index].entries if own else _NOTHING_HIDDEN)
+                    for index, shared in enumerate(self._namespaces[DEFAULT_TENANT])
+                )
+            pairs: list[tuple[float, KnowledgeEntry]] = []
+            search_seconds = 0.0
+            for namespace, hidden in targets:
+                found, elapsed = namespace.search(query, k, hidden)
+                pairs.extend(found)
+                search_seconds += elapsed
+            pairs.sort(key=_merge_key)
             hits = [
-                RetrievedKnowledge(entry=entry, distance=distance, rank=rank)
-                for rank, (entry, distance) in enumerate(pairs, start=1)
+                RetrievedKnowledge(entry=entry, distance=float(distance), rank=rank)
+                for rank, (distance, entry) in enumerate(pairs[:k], start=1)
             ]
             span.set_attribute("hits", len(hits))
-            return RetrievalResult(hits=hits, search_seconds=elapsed)
+            return RetrievalResult(hits=hits, search_seconds=search_seconds)

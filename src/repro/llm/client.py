@@ -9,8 +9,8 @@ thinking/generation timings the latency benchmark needs.
 ``LLMRequest.attachments`` carries the *structured* form of the prompt
 (retrieved knowledge entries and the question's plan pair).  Hosted clients
 ignore it — they only see ``prompt`` — but the offline simulator consumes it
-instead of re-parsing its own prompt text; this is part of the documented
-LLM substitution (see DESIGN.md).
+instead of re-parsing its own prompt text; this is part of the offline LLM
+substitution described in README.md.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ with :meth:`repro.obs.tracing.Tracer.stage_snapshot`):
 
 * :class:`LatencyObjective` — a quantile of a latency histogram must stay
   at or under a threshold (e.g. p95 of ``stage.service.explain`` ≤ 500 ms);
-* :class:`ErrorRateObjective` — the bad fraction of traffic (failed /
-  shed / deadline-exceeded over submitted) must stay at or under a target
-  budget.
+* :class:`ErrorRateObjective` — the bad fraction of traffic (failed and
+  rejected over submitted) must stay at or under a target budget.
 
 :class:`SLOTracker` is scrape-driven: each :meth:`~SLOTracker.observe`
 appends a timestamped sample extracted from a snapshot, and
@@ -76,7 +75,13 @@ Objective = Union[LatencyObjective, ErrorRateObjective]
 
 
 def default_service_objectives() -> tuple[Objective, ...]:
-    """The objectives :class:`ExplanationService` tracks out of the box."""
+    """The objectives :class:`ExplanationService` tracks out of the box.
+
+    ``availability`` burns its budget on internal failures and on the
+    rejections the service causes: ``queue_full``, ``deadline_exceeded``
+    and ``service_closed``.  ``quota_exceeded`` does not burn it: that
+    rejection enforces the tenant's own declared limit, like HTTP 429.
+    """
     return (
         LatencyObjective(
             name="request_latency",
@@ -89,9 +94,9 @@ def default_service_objectives() -> tuple[Objective, ...]:
             total=("requests.submitted",),
             bad=(
                 "requests.failed",
-                "requests.shed",
-                "requests.deadline_exceeded",
-                "requests.rejected_closed",
+                "requests.rejected.queue_full",
+                "requests.rejected.deadline_exceeded",
+                "requests.rejected.service_closed",
             ),
             target=0.01,
         ),

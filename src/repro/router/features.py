@@ -191,7 +191,7 @@ class PlanFeaturizer:
 
 
 def structural_embedding(plan: PlanNode, dimensions: int = 16) -> np.ndarray:
-    """A non-learned baseline embedding used for the ablation in DESIGN.md.
+    """A non-learned baseline embedding for the plan-embedding ablation.
 
     Buckets operator counts and coarse size statistics into a fixed-width
     vector.  It intentionally ignores the routing task, so retrieval quality

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from repro.knowledge.sharding import DEFAULT_TENANT
+from repro.knowledge.knowledge_base import DEFAULT_TENANT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.explainer.pipeline import Explanation
@@ -73,7 +73,7 @@ class ExplainRequest:
     #: means no deadline.
     deadline_seconds: float | None = None
     #: Tenant namespace the request runs in — scopes cache keys, quota
-    #: accounting, fair-queue weight, and (when sharded) KB retrieval.
+    #: accounting, fair-queue weight, and KB retrieval.
     tenant: str = DEFAULT_TENANT
     request_id: str = field(default_factory=new_request_id)
     #: ``time.perf_counter()`` at admission, set by the service.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.knowledge.quantization import QuantizedVector, quantize_vector
-from repro.knowledge.sharding import DEFAULT_TENANT
+from repro.knowledge.knowledge_base import DEFAULT_TENANT
 
 _MISSING = object()
 
@@ -230,18 +230,15 @@ class ServiceCache:
         )
 
     # ------------------------------------------------------------ tenant levels
-    def level(self, tenant: str | None = None) -> CacheLevels:
+    def level(self, tenant: str = DEFAULT_TENANT) -> CacheLevels:
         """The (lazily created) cache pair owned by ``tenant``."""
-        name = tenant if tenant is not None else DEFAULT_TENANT
-        levels = self._levels.get(name)
+        levels = self._levels.get(tenant)
         if levels is None:
             with self._levels_lock:
-                levels = self._levels.get(name)
+                levels = self._levels.get(tenant)
                 if levels is None:
                     levels = self._new_levels()
-                    fresh = dict(self._levels)
-                    fresh[name] = levels
-                    self._levels = fresh
+                    self._levels = {**self._levels, tenant: levels}
         return levels
 
     def tenants(self) -> tuple[str, ...]:
@@ -265,13 +262,13 @@ class ServiceCache:
         embedding: Any,
         *,
         epoch: int | None = None,
-        tenant: str | None = None,
+        tenant: str = DEFAULT_TENANT,
     ) -> bool:
         """Store one L2 entry, quantizing the embedding when configured."""
         stored = quantize_vector(embedding) if self.quantize_embeddings else embedding
         return self.level(tenant).plans.put(key, (execution, stored), epoch=epoch)
 
-    def get_plan(self, key: Hashable, *, tenant: str | None = None) -> tuple[Any, Any] | None:
+    def get_plan(self, key: Hashable, *, tenant: str = DEFAULT_TENANT) -> tuple[Any, Any] | None:
         """One L2 lookup; quantized embeddings are dequantized on hit."""
         entry = self.level(tenant).plans.get(key)
         if entry is None:
@@ -282,16 +279,17 @@ class ServiceCache:
         return execution, stored
 
     # ------------------------------------------------------------ invalidation
-    def on_kb_write(self, event: str, entry_id: str, tenant: str | None = None) -> None:
+    def on_kb_write(self, event: str, entry_id: str, tenant: str = DEFAULT_TENANT) -> None:
         """Knowledge changed: cached explanations may cite stale entries.
 
-        With ``tenant`` set only that tenant's explanations drop — tenant
-        namespaces are retrieval-isolated, so tenant A's write cannot make
-        tenant B's cached answers stale.  Without it (a legacy
-        un-namespaced KB write) every tenant's explanations drop.  Plans
-        and embeddings are untouched — they do not depend on the KB.
+        A write to a tenant's namespace drops only that tenant's
+        explanations — tenant namespaces are retrieval-isolated, so tenant
+        A's write cannot make tenant B's cached answers stale.  The default
+        namespace is the shared corpus every tenant retrieves from, so a
+        write there drops every tenant's explanations.  Plans and
+        embeddings are untouched — they do not depend on the KB.
         """
-        if tenant is not None:
+        if tenant != DEFAULT_TENANT:
             self.level(tenant).explanations.clear()
         else:
             for levels in self._levels.values():

@@ -19,13 +19,11 @@ The knobs group into four concerns:
   once concurrent arrivals are observed; a lone request flushes
   immediately);
 * **retrieval** — ``top_k`` entries fetched from the knowledge base;
-* **scale-out** — ``num_shards``: split the knowledge base into N
-  consistent-hashed shards (:mod:`repro.knowledge.sharding`) so a write
-  locks one shard instead of the whole KB; ``tenants``: declarative
-  per-tenant weights and quotas
-  (:class:`~repro.service.tenancy.TenantConfig`) — any ``num_shards > 1``
-  or non-empty ``tenants`` makes the service wrap its knowledge base in a
-  :class:`~repro.knowledge.sharding.ShardedKnowledgeBase`;
+* **tenancy** — ``tenants``: declarative per-tenant weights and quotas
+  (:class:`~repro.service.tenancy.TenantConfig`).  Every tenant, declared
+  or not, retrieves from its own namespace of the knowledge base plus the
+  shared corpus; how that knowledge base is partitioned is chosen when it
+  is built (``KnowledgeBase(partitions=N)``), not here;
 * **observability** — ``admin_port`` / ``admin_host``: when ``admin_port``
   is set (``0`` picks an ephemeral port) the service starts an embedded
   :class:`~repro.obs.server.AdminServer` exposing ``/metrics``,
@@ -45,8 +43,6 @@ class ServiceConfig:
     """Tuning knobs for :class:`~repro.service.server.ExplanationService`."""
 
     top_k: int = 2
-    #: 1 keeps the single-KB fast path; >1 shards the knowledge base.
-    num_shards: int = 1
     #: Declared tenants (weights / quotas).  Undeclared tenants are still
     #: served, with weight 1.0 and no quota.
     tenants: tuple[TenantConfig, ...] = ()

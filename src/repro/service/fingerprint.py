@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.knowledge.sharding import DEFAULT_TENANT
+from repro.knowledge.knowledge_base import DEFAULT_TENANT
 
 
 def _fold_tenant(digest: "hashlib._Hash", tenant: str | None) -> None:

@@ -19,12 +19,13 @@ production-shaped request path:
 * **worker pool + deadlines** — a ``ThreadPoolExecutor`` drives the
   remaining stages; a request whose latency budget expires while queued is
   completed with ``DEADLINE_EXCEEDED`` rather than doing dead work;
-* **sharding + multi-tenancy** — with ``ServiceConfig(num_shards=N)`` or
-  declared ``tenants``, the knowledge base is wrapped in a
-  :class:`~repro.knowledge.sharding.ShardedKnowledgeBase` (scatter-gather
-  retrieval, per-shard locks) and every request carries a ``tenant``
-  namespace: tenant-scoped cache levels and fingerprints, per-tenant
-  quotas (``QUOTA_EXCEEDED`` rejections), and weighted fair batching;
+* **multi-tenancy** — every request carries a ``tenant`` (default
+  :data:`~repro.knowledge.knowledge_base.DEFAULT_TENANT`): retrieval from
+  that tenant's knowledge-base namespace plus the shared corpus,
+  tenant-scoped cache levels and fingerprints, per-tenant quotas
+  (``QUOTA_EXCEEDED`` rejections) and weighted fair batching.  The service
+  uses the knowledge base it is given; build it with
+  ``KnowledgeBase(partitions=N)`` to lock-stripe expert writes;
 * **telemetry** — counters and p50/p95/p99 latency histograms exported as
   one dict by :meth:`ExplanationService.metrics_snapshot`;
 * **admin plane** — with ``ServiceConfig(admin_port=...)`` the service
@@ -45,11 +46,10 @@ from typing import Sequence
 from repro.explainer.pipeline import Explanation, RagExplainer, execution_result_text
 from repro.htap.catalog import Index
 from repro.htap.system import HTAPSystem, QueryExecution
-from repro.knowledge.knowledge_base import KnowledgeBase
-from repro.knowledge.sharding import DEFAULT_TENANT, ShardedKnowledgeBase
+from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.llm.client import LLMClient
 from repro.llm.prompts import PromptBuilder
-from repro.obs.tracing import NULL_SPAN, Span, get_tracer
+from repro.obs.tracing import NULL_SPAN, Span, Tracer, get_tracer
 from repro.router.router import SmartRouter
 from repro.service.api import (
     ExplainRequest,
@@ -58,7 +58,7 @@ from repro.service.api import (
     ServiceErrorCode,
 )
 from repro.service.batching import MicroBatcher
-from repro.service.cache import ServiceCache
+from repro.service.cache import CacheLevels, ServiceCache
 from repro.service.config import ServiceConfig
 from repro.service.fingerprint import request_cache_key, sql_fingerprint
 from repro.service.metrics import MetricsRegistry
@@ -82,7 +82,7 @@ class ExplanationService:
         self,
         system: HTAPSystem,
         router: SmartRouter,
-        knowledge_base: KnowledgeBase | ShardedKnowledgeBase,
+        knowledge_base: KnowledgeBase,
         llm: LLMClient,
         *,
         config: ServiceConfig | None = None,
@@ -100,7 +100,6 @@ class ExplanationService:
         quantize_embedding_cache: bool | None = None,
         admin_port: int | None = None,
         admin_host: str | None = None,
-        num_shards: int | None = None,
         tenants: tuple[TenantConfig, ...] | None = None,
     ):
         self.config = (config or ServiceConfig()).with_overrides(
@@ -117,7 +116,6 @@ class ExplanationService:
             quantize_embedding_cache=quantize_embedding_cache,
             admin_port=admin_port,
             admin_host=admin_host,
-            num_shards=num_shards,
             tenants=tenants,
         )
         resolved = self.config
@@ -125,23 +123,8 @@ class ExplanationService:
             raise ValueError("max_workers must be at least 1")
         if resolved.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
-        if resolved.num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
         self.system = system
         self.router = router
-        # Sharding / tenancy: a plain KnowledgeBase is wrapped in a
-        # ShardedKnowledgeBase (seeding its entries into the default
-        # tenant) whenever the config asks for shards or declares tenants;
-        # a pre-built ShardedKnowledgeBase passes through untouched.
-        if isinstance(knowledge_base, ShardedKnowledgeBase):
-            self._sharded = True
-        elif resolved.num_shards > 1 or resolved.tenants:
-            knowledge_base = ShardedKnowledgeBase.from_knowledge_base(
-                knowledge_base, resolved.num_shards
-            )
-            self._sharded = True
-        else:
-            self._sharded = False
         self.knowledge_base = knowledge_base
         self.tenants = TenantRegistry(resolved.tenants)
         self.llm = llm
@@ -172,12 +155,7 @@ class ExplanationService:
         self._admission_lock = threading.Lock()
         self._closed = False
         # Stale-data hooks: any DDL or knowledge write invalidates caches.
-        # The sharded KB reports the writing tenant, so only that tenant's
-        # explanation cache is dropped; a plain KB write drops all of them.
-        if self._sharded:
-            knowledge_base.add_write_listener(self._on_tenant_kb_write)
-        else:
-            knowledge_base.add_write_listener(self._on_kb_write)
+        knowledge_base.add_write_listener(self._on_kb_write)
         system.add_ddl_listener(self._on_ddl)
         #: Embedded admin HTTP server and SLO tracker (None unless
         #: ``admin_port`` is configured).
@@ -263,16 +241,9 @@ class ExplanationService:
         return HealthReport(checks=tuple(checks))
 
     # ------------------------------------------------------------- invalidation
-    def _on_kb_write(self, event: str, entry_id: str) -> None:
+    def _on_kb_write(self, event: str, entry_id: str, tenant: str) -> None:
         self.metrics.counter("invalidations.kb_write").increment()
-        self.cache.on_kb_write(event, entry_id)
-
-    def _on_tenant_kb_write(self, event: str, entry_id: str, tenant: str) -> None:
-        self.metrics.counter("invalidations.kb_write").increment()
-        # The default namespace is the shared corpus grounding every
-        # tenant's retrieval, so a write to it stales all tenants' cached
-        # explanations; a tenant-namespace write stales only that tenant's.
-        self.cache.on_kb_write(event, entry_id, None if tenant == DEFAULT_TENANT else tenant)
+        self.cache.on_kb_write(event, entry_id, tenant)
 
     def _on_ddl(self, event: str, index_name: str) -> None:
         self.metrics.counter("invalidations.ddl").increment()
@@ -296,7 +267,7 @@ class ExplanationService:
         *,
         user_notes: str | None = None,
         deadline_seconds: float | None = None,
-        tenant: str | None = None,
+        tenant: str = DEFAULT_TENANT,
     ) -> "Future[ExplainResult]":
         """Admit one request; returns a future that never raises.
 
@@ -306,71 +277,42 @@ class ExplanationService:
         with a ``QUEUE_FULL`` rejection; a tenant over its declared quota
         is shed with ``QUOTA_EXCEEDED``.
         """
-        resolved_tenant = tenant if tenant is not None else DEFAULT_TENANT
         request = ExplainRequest(
             sql=sql,
             user_notes=user_notes,
             deadline_seconds=(
                 self.default_deadline_seconds if deadline_seconds is None else deadline_seconds
             ),
-            tenant=resolved_tenant,
+            tenant=tenant,
         )
         self.metrics.counter("requests.submitted").increment()
-        self.metrics.counter(f"requests.tenant.{resolved_tenant}").increment()
+        self.metrics.counter(f"requests.tenant.{tenant}").increment()
         tracer = get_tracer()
-        root = tracer.span(
-            ROOT_SPAN_NAME, root=True, request_id=request.request_id, tenant=resolved_tenant
-        )
+        root = tracer.span(ROOT_SPAN_NAME, root=True, request_id=request.request_id, tenant=tenant)
         if self._closed:
-            self.metrics.counter("requests.rejected_closed").increment()
-            self._reject_span(root, ServiceErrorCode.SERVICE_CLOSED)
-            return _completed(
-                ExplainResult.rejection(
-                    request.request_id, ServiceErrorCode.SERVICE_CLOSED, "service is shut down"
-                )
+            return self._refuse(request, root, ServiceErrorCode.SERVICE_CLOSED, "service is shut down")
+        if not self.tenants.try_admit(tenant):
+            return self._refuse(
+                request,
+                root,
+                ServiceErrorCode.QUOTA_EXCEEDED,
+                f"tenant {tenant!r} is over its request quota",
             )
-        if not self.tenants.try_admit(resolved_tenant):
-            self._reject_span(root, ServiceErrorCode.QUOTA_EXCEEDED)
-            return _completed(
-                ExplainResult.rejection(
-                    request.request_id,
-                    ServiceErrorCode.QUOTA_EXCEEDED,
-                    f"tenant {resolved_tenant!r} is over its request quota",
-                )
-            )
-        cache_key = request_cache_key(
-            sql, user_notes, self.explainer.top_k, tenant=resolved_tenant
-        )
-        levels = self.cache.level(resolved_tenant)
+        cache_key = request_cache_key(sql, user_notes, self.explainer.top_k, tenant=tenant)
+        levels = self.cache.level(tenant)
         with tracer.attach(root):
-            with tracer.span("cache.l1_lookup") as lookup:
-                cached = levels.explanations.get(cache_key)
-                lookup.set_attribute("hit", cached is not None)
+            cached = self._l1_lookup(tracer, levels, cache_key)
         if cached is not None:
-            self.metrics.counter("requests.ok").increment()
-            total = time.perf_counter() - request.submitted_at
-            self.metrics.histogram("latency.warm_seconds").record(total)
-            root.set_attributes(status="ok", cache="l1_hit")
+            result = self._l1_hit(request, cached, root)
             root.end()
-            return _completed(
-                ExplainResult(
-                    request_id=request.request_id,
-                    status=RequestStatus.OK,
-                    explanation=cached,
-                    cache_hit=True,
-                    total_seconds=total,
-                )
-            )
+            return _completed(result)
         with self._admission_lock:
             if self._in_flight >= self.max_in_flight:
-                self.metrics.counter("requests.shed").increment()
-                self._reject_span(root, ServiceErrorCode.QUEUE_FULL)
-                return _completed(
-                    ExplainResult.rejection(
-                        request.request_id,
-                        ServiceErrorCode.QUEUE_FULL,
-                        f"in-flight limit of {self.max_in_flight} reached",
-                    )
+                return self._refuse(
+                    request,
+                    root,
+                    ServiceErrorCode.QUEUE_FULL,
+                    f"in-flight limit of {self.max_in_flight} reached",
                 )
             self._in_flight += 1
         try:
@@ -381,26 +323,61 @@ class ExplanationService:
             # post-close request instead of letting the exception escape.
             with self._admission_lock:
                 self._in_flight -= 1
-            self.metrics.counter("requests.rejected_closed").increment()
-            self._reject_span(root, ServiceErrorCode.SERVICE_CLOSED)
-            return _completed(
-                ExplainResult.rejection(
-                    request.request_id, ServiceErrorCode.SERVICE_CLOSED, "service is shut down"
-                )
-            )
+            return self._refuse(request, root, ServiceErrorCode.SERVICE_CLOSED, "service is shut down")
 
-    def _reject_span(self, root: "Span", code: ServiceErrorCode) -> None:
-        """Tag and close a root span for a request the service refused.
-
-        Every refusal — shed on a full queue, an expired deadline, a
-        post-shutdown submit — increments a per-reason counter
-        (``requests.rejected.<reason>``) and stamps the reason on the
-        root span so shed traffic is visible both in the metrics
-        exposition and in individual traces.
-        """
+    def _tag_rejection(self, root: "Span", code: ServiceErrorCode) -> None:
+        """Count a refused request once, as ``requests.rejected.<code>``,
+        and stamp the reason on its root span, so refused traffic is
+        visible both in the metrics exposition and in individual traces."""
         self.metrics.counter(f"requests.rejected.{code.value}").increment()
         root.set_attributes(status="rejected", rejected_reason=code.value)
+
+    def _refuse(
+        self, request: ExplainRequest, root: "Span", code: ServiceErrorCode, message: str
+    ) -> "Future[ExplainResult]":
+        """Reject a request at admission: tag and close its root span."""
+        self._tag_rejection(root, code)
         root.end()
+        return _completed(ExplainResult.rejection(request.request_id, code, message))
+
+    def _l1_lookup(self, tracer: Tracer, levels: CacheLevels, cache_key: str) -> Explanation | None:
+        with tracer.span("cache.l1_lookup") as lookup:
+            cached = levels.explanations.get(cache_key)
+            lookup.set_attribute("hit", cached is not None)
+        return cached
+
+    def _l1_hit(
+        self,
+        request: ExplainRequest,
+        cached: Explanation,
+        root: "Span",
+        queue_seconds: float = 0.0,
+    ) -> ExplainResult:
+        """The result for a request answered from the L1 explanation cache."""
+        self.metrics.counter("requests.ok").increment()
+        total = time.perf_counter() - request.submitted_at
+        self.metrics.histogram("latency.warm_seconds").record(total)
+        root.set_attributes(status="ok", cache="l1_hit")
+        return ExplainResult(
+            request_id=request.request_id,
+            status=RequestStatus.OK,
+            explanation=cached,
+            cache_hit=True,
+            queue_seconds=queue_seconds,
+            total_seconds=total,
+        )
+
+    def _deadline_exceeded(
+        self, request: ExplainRequest, root: "Span", queue_seconds: float, when: str
+    ) -> ExplainResult:
+        self._tag_rejection(root, ServiceErrorCode.DEADLINE_EXCEEDED)
+        return ExplainResult.failure(
+            request.request_id,
+            ServiceErrorCode.DEADLINE_EXCEEDED,
+            f"deadline of {request.deadline_seconds:.3f}s expired {when}",
+            queue_seconds=queue_seconds,
+            total_seconds=time.perf_counter() - request.submitted_at,
+        )
 
     def explain(
         self,
@@ -408,7 +385,7 @@ class ExplanationService:
         *,
         user_notes: str | None = None,
         deadline_seconds: float | None = None,
-        tenant: str | None = None,
+        tenant: str = DEFAULT_TENANT,
     ) -> ExplainResult:
         """Synchronous convenience wrapper around :meth:`submit`."""
         return self.submit(
@@ -453,42 +430,17 @@ class ExplanationService:
         self.metrics.histogram("latency.queue_seconds").record(queue_seconds)
         root.set_attribute("queue_seconds", round(queue_seconds, 6))
         if request.expired(started):
-            self.metrics.counter("requests.deadline_exceeded").increment()
-            self.metrics.counter(
-                f"requests.rejected.{ServiceErrorCode.DEADLINE_EXCEEDED.value}"
-            ).increment()
-            root.set_attributes(
-                status="rejected", rejected_reason=ServiceErrorCode.DEADLINE_EXCEEDED.value
-            )
-            return ExplainResult.failure(
-                request.request_id,
-                ServiceErrorCode.DEADLINE_EXCEEDED,
-                f"deadline of {request.deadline_seconds:.3f}s expired after "
-                f"{queue_seconds:.3f}s in queue",
-                queue_seconds=queue_seconds,
-                total_seconds=queue_seconds,
+            return self._deadline_exceeded(
+                request, root, queue_seconds, f"after {queue_seconds:.3f}s in queue"
             )
         # A twin request may have populated the explanation cache while this
         # one waited for a worker.
         tenant = request.tenant
         levels = self.cache.level(tenant)
         tracer = get_tracer()
-        with tracer.span("cache.l1_lookup") as lookup:
-            cached = levels.explanations.get(cache_key)
-            lookup.set_attribute("hit", cached is not None)
+        cached = self._l1_lookup(tracer, levels, cache_key)
         if cached is not None:
-            self.metrics.counter("requests.ok").increment()
-            total = time.perf_counter() - request.submitted_at
-            self.metrics.histogram("latency.warm_seconds").record(total)
-            root.set_attributes(status="ok", cache="l1_hit")
-            return ExplainResult(
-                request_id=request.request_id,
-                status=RequestStatus.OK,
-                explanation=cached,
-                cache_hit=True,
-                queue_seconds=queue_seconds,
-                total_seconds=total,
-            )
+            return self._l1_hit(request, cached, root, queue_seconds)
 
         plan_key = sql_fingerprint(request.sql, tenant=tenant)
         # Epochs read *before* computing guard the puts below: if DDL or a KB
@@ -518,25 +470,9 @@ class ExplanationService:
         root.set_attribute("cache.l2_hit", plan_cache_hit)
 
         if request.expired():
-            self.metrics.counter("requests.deadline_exceeded").increment()
-            self.metrics.counter(
-                f"requests.rejected.{ServiceErrorCode.DEADLINE_EXCEEDED.value}"
-            ).increment()
-            root.set_attributes(
-                status="rejected", rejected_reason=ServiceErrorCode.DEADLINE_EXCEEDED.value
-            )
-            elapsed = time.perf_counter() - request.submitted_at
-            return ExplainResult.failure(
-                request.request_id,
-                ServiceErrorCode.DEADLINE_EXCEEDED,
-                f"deadline of {request.deadline_seconds:.3f}s expired before generation",
-                queue_seconds=queue_seconds,
-                total_seconds=elapsed,
-            )
+            return self._deadline_exceeded(request, root, queue_seconds, "before generation")
 
-        retrieval = self.explainer.retrieve_stage(
-            embedding, tenant=tenant if self._sharded else None
-        )
+        retrieval = self.explainer.retrieve_stage(embedding, tenant=tenant)
         explanation: Explanation = self.explainer.generate_stage(
             execution.plan_pair,
             embedding,
@@ -566,8 +502,6 @@ class ExplanationService:
         payload = self.metrics.snapshot()
         payload["cache"] = self.cache.snapshot()
         payload["batching"] = self.batcher.stats()
-        if self._sharded:
-            payload["sharding"] = self.knowledge_base.stats()
         with self._admission_lock:
             payload["in_flight"] = self._in_flight
         payload["max_in_flight"] = self.max_in_flight
@@ -584,18 +518,13 @@ class ExplanationService:
         # Unhook the invalidation listeners so a discarded service does not
         # keep receiving callbacks from long-lived system objects.
         try:
-            if self._sharded:
-                self.knowledge_base.remove_write_listener(self._on_tenant_kb_write)
-            else:
-                self.knowledge_base.remove_write_listener(self._on_kb_write)
+            self.knowledge_base.remove_write_listener(self._on_kb_write)
         except ValueError:
             pass
         try:
             self.system.remove_ddl_listener(self._on_ddl)
         except ValueError:
             pass
-        if self._sharded:
-            self.knowledge_base.close()
 
     def __enter__(self) -> "ExplanationService":
         return self

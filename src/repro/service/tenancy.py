@@ -2,7 +2,7 @@
 
 One :class:`~repro.service.server.ExplanationService` can serve many
 tenants, each with a private knowledge-base namespace (see
-:mod:`repro.knowledge.sharding`) and private cache levels.  This module
+:mod:`repro.knowledge.knowledge_base`) and private cache levels.  This module
 holds the *policy* side of that isolation:
 
 * :class:`TenantConfig` — declarative per-tenant settings carried on
@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.knowledge.sharding import DEFAULT_TENANT
+from repro.knowledge.knowledge_base import DEFAULT_TENANT
 
 __all__ = ["DEFAULT_TENANT", "TenantConfig", "TokenBucket", "TenantRegistry"]
 

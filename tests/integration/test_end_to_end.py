@@ -87,7 +87,7 @@ def test_feedback_loop_improves_or_maintains_accuracy(pipeline_setup):
 def test_hnsw_backed_pipeline_equivalent_results(pipeline_setup):
     system, dataset, router, _kb, _explainer = pipeline_setup
     flat_kb = KnowledgeBase()
-    hnsw_kb = KnowledgeBase(vector_store=HNSWVectorStore(seed=3))
+    hnsw_kb = KnowledgeBase(lambda: HNSWVectorStore(seed=3))
     entries = entries_from_labeled(dataset.knowledge_base, router, SimulatedExpert())
     flat_kb.add_many(entries)
     hnsw_kb.add_many(

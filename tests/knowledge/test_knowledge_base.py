@@ -1,12 +1,15 @@
 """Tests for knowledge entries, the knowledge base, and curation policies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.htap.engines.base import EngineKind
 from repro.knowledge.curation import expire_stale_entries, select_representative_queries
 from repro.knowledge.entry import KnowledgeEntry
-from repro.knowledge.knowledge_base import KnowledgeBase
+from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.knowledge.vector_store import HNSWVectorStore
 
 
@@ -93,13 +96,192 @@ def test_kb_insert_order_recorded():
 
 
 def test_kb_with_hnsw_backend():
-    kb = KnowledgeBase(vector_store=HNSWVectorStore(seed=4))
+    kb = KnowledgeBase(lambda: HNSWVectorStore(seed=4))
     rng = np.random.default_rng(1)
     for index in range(50):
         kb.add(_entry(f"e{index}", rng.normal(size=16)))
     target = kb.get("e7").embedding
     hits = kb.retrieve(target, k=3).hits
     assert hits[0].entry.entry_id == "e7"
+
+
+def make_entry(i: int, rng: np.random.Generator, dim: int = 8) -> KnowledgeEntry:
+    return _entry(f"entry-{i}", rng.normal(size=dim))
+
+
+def make_entries(n: int, seed: int = 0) -> list[KnowledgeEntry]:
+    rng = np.random.default_rng(seed)
+    return [make_entry(i, rng) for i in range(n)]
+
+
+def with_embedding(entry: KnowledgeEntry, embedding) -> KnowledgeEntry:
+    return dataclasses.replace(entry, embedding=np.asarray(embedding, dtype=np.float64))
+
+
+def test_partitions_must_be_positive():
+    with pytest.raises(ValueError):
+        KnowledgeBase(partitions=0)
+
+
+def test_crud_round_trip_and_errors():
+    kb = KnowledgeBase(partitions=3)
+    entries = make_entries(10)
+    kb.add_many(entries[:9])
+    kb.add(entries[9])
+    assert len(kb) == 10
+    assert "entry-3" in kb
+    assert kb.get("entry-3").entry_id == "entry-3"
+    kb.correct("entry-3", "corrected text", ("new-factor",))
+    assert kb.get("entry-3").expert_explanation == "corrected text"
+    removed = kb.remove("entry-3")
+    assert removed.entry_id == "entry-3"
+    assert "entry-3" not in kb
+    with pytest.raises(KeyError):
+        kb.get("entry-3")
+    with pytest.raises(KeyError):
+        kb.remove("entry-3")
+    with pytest.raises(KeyError):
+        kb.correct("nope", "x")
+    with pytest.raises(KeyError):
+        kb.add(entries[0])
+    with pytest.raises(KeyError):
+        kb.get("entry-0", tenant="never-wrote")
+
+
+def test_tenant_namespaces_are_isolated():
+    kb = KnowledgeBase(partitions=3)
+    rng = np.random.default_rng(1)
+    kb.add_many(make_entries(30), tenant="tenant-a")
+    kb.add_many(make_entries(5, seed=9), tenant="tenant-b")
+    assert kb.count(tenant="tenant-a") == 30
+    assert kb.count(tenant="tenant-b") == 5
+    assert kb.count() == 0
+    assert len(kb) == 35
+    # Same entry id may exist under both tenants independently.
+    assert kb.contains("entry-0", tenant="tenant-a")
+    assert kb.contains("entry-0", tenant="tenant-b")
+    assert not kb.contains("entry-0")  # default tenant is empty
+    assert {e.entry_id for e in kb.entries(tenant="tenant-b")} == {f"entry-{i}" for i in range(5)}
+    # Retrieval never crosses tenants.
+    query = rng.normal(size=8)
+    hits = kb.retrieve(query, k=50, tenant="tenant-b").hits
+    assert len(hits) == 5
+    assert {h.entry.entry_id for h in hits} <= {f"entry-{i}" for i in range(5)}
+    assert kb.retrieve(query, k=5).hits == []  # default tenant empty
+
+
+def test_tenant_retrieval_grounds_on_shared_corpus():
+    """The default namespace is the shared corpus: tenant retrieval unions
+    it with the tenant's own entries, and a tenant entry shadows a shared
+    entry with the same id."""
+    kb = KnowledgeBase(partitions=3)
+    rng = np.random.default_rng(7)
+    kb.add_many(make_entries(20))  # default tenant = shared corpus
+    query = rng.normal(size=8)
+    # A tenant with no entries of its own still retrieves shared hits.
+    baseline = [h.entry.entry_id for h in kb.retrieve(query, k=5, tenant="acme").hits]
+    assert baseline == [h.entry.entry_id for h in kb.retrieve(query, k=5).hits]
+    # The tenant's private entry joins the merged ranking...
+    kb.add(with_embedding(make_entry(999, rng), query), tenant="acme")  # distance ~0
+    top = kb.retrieve(query, k=1, tenant="acme").hits[0]
+    assert top.entry.entry_id == "entry-999"
+    # ...but stays invisible to other tenants and to the default view.
+    zeta_ids = {h.entry.entry_id for h in kb.retrieve(query, k=20, tenant="zeta").hits}
+    assert "entry-999" not in zeta_ids
+    default_ids = {h.entry.entry_id for h in kb.retrieve(query, k=20).hits}
+    assert "entry-999" not in default_ids
+    # Shadowing: a tenant entry with a shared id wins the merge.
+    kb.add(with_embedding(make_entry(0, rng), query), tenant="beta")
+    best_beta = kb.retrieve(query, k=1, tenant="beta").hits[0]
+    assert best_beta.entry.entry_id == "entry-0"
+    assert best_beta.distance == pytest.approx(0.0, abs=1e-9)
+    # A shadowed shared entry never appears, however close it is: its slot
+    # goes to the next visible shared entry.
+    shared_top6 = [h.entry.entry_id for h in kb.retrieve(query, k=6).hits]
+    kb.add(with_embedding(kb.get(shared_top6[0]), -query), tenant="gamma")
+    gamma = [h.entry.entry_id for h in kb.retrieve(query, k=5, tenant="gamma").hits]
+    assert gamma == shared_top6[1:]
+
+
+def test_write_listener_reports_tenant():
+    kb = KnowledgeBase(partitions=2)
+    events: list[tuple[str, str, str]] = []
+
+    def listener(*args: str) -> None:
+        events.append(args)
+
+    kb.add_write_listener(listener)
+    entries = make_entries(2)
+    kb.add(entries[0], tenant="acme")
+    kb.add(entries[1])
+    kb.correct("entry-1", "fixed")
+    kb.remove("entry-0", tenant="acme")
+    assert events == [
+        ("add", "entry-0", "acme"),
+        ("add", "entry-1", DEFAULT_TENANT),
+        ("correct", "entry-1", DEFAULT_TENANT),
+        ("remove", "entry-0", "acme"),
+    ]
+    # A duplicate part-way through a bulk add still announces what landed.
+    fresh = make_entries(4, seed=3)[2:]
+    with pytest.raises(KeyError):
+        kb.add_many([fresh[0], entries[1], fresh[1]])
+    assert events[-1] == ("add", "entry-2", DEFAULT_TENANT)
+    assert "entry-2" in kb and "entry-3" not in kb
+    kb.remove_write_listener(listener)
+    kb.remove("entry-1")
+    assert len(events) == 5
+
+
+def test_hnsw_store_factory():
+    kb = KnowledgeBase(
+        lambda: HNSWVectorStore(M=8, ef_construction=32, ef_search=16), partitions=3
+    )
+    kb.add_many(make_entries(60))
+    rng = np.random.default_rng(5)
+    result = kb.retrieve(rng.normal(size=8), k=4)
+    assert len(result.hits) == 4
+    assert [hit.rank for hit in result.hits] == [1, 2, 3, 4]
+    assert result.search_seconds > 0.0
+    assert len(kb) == kb.count() == 60
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    partitions=st.sampled_from([1, 2, 3, 4, 8]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    shared=st.integers(min_value=0, max_value=30),
+    tenant_rows=st.lists(
+        st.tuples(st.sampled_from(["acme", "beta"]), st.integers(min_value=0, max_value=45)),
+        max_size=30,
+    ),
+    k=st.integers(min_value=1, max_value=6),
+)
+def test_partitioned_topk_matches_one_partition(partitions, seed, shared, tenant_rows, k):
+    """Flat-store top-k is the same at every partition count, for the
+    shared corpus and for tenants whose ids overlap (and so shadow) it."""
+    rng = np.random.default_rng(seed)
+    rows = [(DEFAULT_TENANT, i) for i in range(shared)] + list(dict.fromkeys(tenant_rows))
+    placed = [(tenant, make_entry(i, rng)) for tenant, i in rows]
+    one, many = KnowledgeBase(), KnowledgeBase(partitions=partitions)
+    for tenant, entry in placed:
+        one.add(entry, tenant=tenant)
+        many.add(entry, tenant=tenant)
+    for tenant in (DEFAULT_TENANT, "acme", "beta", "zeta"):
+        # What the tenant may see: its own entries, plus shared ones it
+        # does not shadow.
+        visible = {e.entry_id: e for t, e in placed if t == DEFAULT_TENANT}
+        visible.update({e.entry_id: e for t, e in placed if t == tenant})
+        reference = KnowledgeBase()
+        reference.add_many([dataclasses.replace(e) for e in visible.values()])
+        for _ in range(3):
+            query = rng.normal(size=8)
+            expected = one.retrieve(query, k=k, tenant=tenant).hits
+            got = many.retrieve(query, k=k, tenant=tenant).hits
+            assert [h.entry.entry_id for h in got] == [h.entry.entry_id for h in expected]
+            assert [h.distance for h in got] == pytest.approx([h.distance for h in expected])
+            oracle = reference.retrieve(query, k=k).hits
+            assert [h.entry.entry_id for h in expected] == [h.entry.entry_id for h in oracle]
 
 
 # ---------------------------------------------------------------- curation

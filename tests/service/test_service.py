@@ -3,11 +3,18 @@ deadlines, invalidation, and telemetry (the PR's acceptance criteria)."""
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-
-from repro.service import ExplanationService, RequestStatus, ServiceErrorCode
+from repro.obs.slo import default_service_objectives
+from repro.service import (
+    ExplanationService,
+    RequestStatus,
+    ServiceConfig,
+    ServiceErrorCode,
+    TenantConfig,
+)
 
 
 # ------------------------------------------------------------- happy paths
@@ -110,6 +117,43 @@ def test_shutdown_rejects_new_requests(service_stack):
     assert result.status is RequestStatus.REJECTED
     assert result.error.code is ServiceErrorCode.SERVICE_CLOSED
     assert not result.error.retryable
+
+
+def test_each_rejection_counted_once_and_only_service_caused_ones_burn(service_stack):
+    system, router, kb, llm, sqls, _labeled = service_stack
+    config = ServiceConfig(
+        max_workers=1,
+        max_in_flight=1,
+        tenants=(TenantConfig(name="tiny", requests_per_second=0.001, burst=1.0),),
+    )
+    service = ExplanationService(system, router, kb, llm, config=config)
+    gate = threading.Event()
+    run_both = system.run_both
+    system.run_both = lambda sql: gate.wait(10.0) and run_both(sql)
+    try:
+        blocked = service.submit(sqls[0])  # holds the only in-flight slot
+        shed = service.explain(sqls[1])
+        gate.set()
+        assert blocked.result().ok
+        expired = service.explain(sqls[2], deadline_seconds=0.0)
+        assert service.explain(sqls[3], tenant="tiny").ok
+        over_quota = service.explain(sqls[3], tenant="tiny")
+    finally:
+        del system.run_both
+        service.shutdown()
+    closed = service.explain(sqls[0])
+    codes = [r.error.code.value for r in (shed, expired, over_quota, closed)]
+    assert codes == ["queue_full", "deadline_exceeded", "quota_exceeded", "service_closed"]
+
+    snapshot = service.metrics_snapshot()
+    for code in codes:
+        assert snapshot[f"requests.rejected.{code}"] == 1
+    for legacy in ("requests.shed", "requests.deadline_exceeded", "requests.rejected_closed"):
+        assert legacy not in snapshot
+    availability = next(o for o in default_service_objectives() if o.name == "availability")
+    assert sum(snapshot.get(key, 0) for key in availability.total) == 6
+    # quota_exceeded is the tenant's own declared limit, so it burns nothing.
+    assert sum(snapshot.get(key, 0) for key in availability.bad) == 3
 
 
 # ---------------------------------------------------------------- deadlines

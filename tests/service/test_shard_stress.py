@@ -1,21 +1,22 @@
-"""Concurrent reader/writer/rebalance stress for the sharded KB.
+"""Concurrent reader/writer stress for the partitioned knowledge base.
 
-Marked ``shard_stress`` so CI runs these in a dedicated job; they also
+Marked ``kb_stress`` so CI runs these in a dedicated job; they also
 stay short enough to ride along in the default (tier-1) run.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.knowledge.entry import KnowledgeEntry
-from repro.knowledge.sharding import ShardedKnowledgeBase
+from repro.knowledge.knowledge_base import KnowledgeBase
 from repro.knowledge.vector_store import HNSWVectorStore
 
-pytestmark = pytest.mark.shard_stress
+pytestmark = pytest.mark.kb_stress
 
 
 def make_entry(name: str, rng: np.random.Generator, dim: int = 8) -> KnowledgeEntry:
@@ -34,8 +35,8 @@ def make_entry(name: str, rng: np.random.Generator, dim: int = 8) -> KnowledgeEn
 
 def test_concurrent_readers_and_writers_never_error():
     rng = np.random.default_rng(11)
-    sharded = ShardedKnowledgeBase(4)
-    sharded.add_many([make_entry(f"seed-{i}", rng) for i in range(120)])
+    kb = KnowledgeBase(partitions=4)
+    kb.add_many([make_entry(f"seed-{i}", rng) for i in range(120)])
     errors: list[BaseException] = []
     stop = threading.Event()
 
@@ -45,10 +46,10 @@ def test_concurrent_readers_and_writers_never_error():
         try:
             while not stop.is_set():
                 name = f"w{worker}-{serial}"
-                sharded.add(make_entry(name, wrng))
+                kb.add(make_entry(name, wrng))
                 if serial % 3 == 0:
-                    sharded.correct(name, "updated")
-                sharded.remove(name)
+                    kb.correct(name, "updated")
+                kb.remove(name)
                 serial += 1
         except BaseException as exc:  # noqa: BLE001 - collected for the assert
             errors.append(exc)
@@ -57,10 +58,10 @@ def test_concurrent_readers_and_writers_never_error():
         qrng = np.random.default_rng(200 + worker)
         try:
             for _ in range(150):
-                hits = sharded.retrieve(qrng.normal(size=8), k=5).hits
+                hits = kb.retrieve(qrng.normal(size=8), k=5).hits
                 assert len(hits) == 5
                 # Seed entries never churn, so lookups must always succeed.
-                sharded.get(f"seed-{int(qrng.integers(0, 120))}")
+                kb.get(f"seed-{int(qrng.integers(0, 120))}")
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
 
@@ -75,61 +76,53 @@ def test_concurrent_readers_and_writers_never_error():
         stop.set()
         for thread in writers:
             thread.join(timeout=30)
-        sharded.close()
+    assert not any(thread.is_alive() for thread in writers + readers)
     assert not errors, errors
-    assert sharded.count() == 120  # every churn entry was removed again
+    assert kb.count() == 120  # every churn entry was removed again
 
 
-def test_retrieval_stays_correct_during_rebalance():
-    rng = np.random.default_rng(17)
-    entries = [make_entry(f"e-{i}", rng) for i in range(160)]
-    sharded = ShardedKnowledgeBase(3, vnodes=128)
-    sharded.add_many(entries)
-    queries = [rng.normal(size=8) for _ in range(8)]
-    expected = [
-        [h.entry.entry_id for h in sharded.retrieve(query, k=5).hits] for query in queries
-    ]
+def test_concurrent_first_writes_to_new_tenants_lose_nothing():
+    """Threads racing to create the same tenant's namespaces must all land
+    in one set of namespaces: a lost creation would drop its entries."""
+    kb = KnowledgeBase(partitions=3)
+    workers, per_worker = 8, 40
+    barrier = threading.Barrier(workers)
     errors: list[BaseException] = []
-    stop = threading.Event()
 
-    def reader() -> None:
+    def writer(worker: int) -> None:
+        wrng = np.random.default_rng(400 + worker)
         try:
-            while not stop.is_set():
-                for query, want in zip(queries, expected):
-                    got = [h.entry.entry_id for h in sharded.retrieve(query, k=5).hits]
-                    # Flat stores are exact: the top-k set must be identical
-                    # at every instant of the add-before-remove move window.
-                    assert got == want, (got, want)
+            barrier.wait(timeout=10)
+            for i in range(per_worker):
+                kb.add(make_entry(f"w{worker}-{i}", wrng), tenant=f"t{i % 4}")
+                kb.retrieve(wrng.normal(size=8), k=2, tenant=f"t{(i + 1) % 4}")
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
 
-    readers = [threading.Thread(target=reader) for _ in range(3)]
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        for thread in readers:
+        for thread in threads:
             thread.start()
-        added = []
-        for _ in range(3):
-            added.append(sharded.add_shard().shard)
-        for name in added:
-            sharded.remove_shard(name)
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
-        stop.set()
-        for thread in readers:
-            thread.join(timeout=30)
-        sharded.close()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
-    assert sharded.num_shards == 3
-    assert len(sharded) == 160
+    assert [kb.count(tenant=f"t{t}") for t in range(4)] == [workers * per_worker // 4] * 4
+    assert len(kb) == workers * per_worker
 
 
 def test_hnsw_bulk_ingest_under_concurrent_retrieval():
-    """The bench scenario in miniature: bulk add_many on HNSW shards while
+    """The bench scenario in miniature: bulk add_many on HNSW partitions while
     readers retrieve — no errors, no empty results once seeded."""
     rng = np.random.default_rng(23)
-    sharded = ShardedKnowledgeBase(
-        4, store_factory=lambda: HNSWVectorStore(M=8, ef_construction=32, ef_search=16)
+    kb = KnowledgeBase(
+        lambda: HNSWVectorStore(M=8, ef_construction=32, ef_search=16), partitions=4
     )
-    sharded.add_many([make_entry(f"seed-{i}", rng) for i in range(80)])
+    kb.add_many([make_entry(f"seed-{i}", rng) for i in range(80)])
     errors: list[BaseException] = []
     done = threading.Event()
 
@@ -137,10 +130,10 @@ def test_hnsw_bulk_ingest_under_concurrent_retrieval():
         wrng = np.random.default_rng(99)
         try:
             for batch in range(6):
-                sharded.add_many([make_entry(f"b{batch}-{i}", wrng) for i in range(24)])
+                kb.add_many([make_entry(f"b{batch}-{i}", wrng) for i in range(24)])
             for batch in range(6):
                 for i in range(24):
-                    sharded.remove(f"b{batch}-{i}")
+                    kb.remove(f"b{batch}-{i}")
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
         finally:
@@ -150,7 +143,7 @@ def test_hnsw_bulk_ingest_under_concurrent_retrieval():
         qrng = np.random.default_rng(300 + worker)
         try:
             while not done.is_set():
-                hits = sharded.retrieve(qrng.normal(size=8), k=3).hits
+                hits = kb.retrieve(qrng.normal(size=8), k=3).hits
                 assert len(hits) == 3
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
@@ -165,16 +158,15 @@ def test_hnsw_bulk_ingest_under_concurrent_retrieval():
         done.set()
         for thread in readers:
             thread.join(timeout=30)
-        sharded.close()
     assert not errors, errors
-    assert sharded.count() == 80
+    assert kb.count() == 80
 
 
 def test_per_tenant_writes_do_not_block_other_tenants_reads():
     rng = np.random.default_rng(31)
-    sharded = ShardedKnowledgeBase(4)
-    sharded.add_many([make_entry(f"a-{i}", rng) for i in range(60)], tenant="a")
-    sharded.add_many([make_entry(f"b-{i}", rng) for i in range(60)], tenant="b")
+    kb = KnowledgeBase(partitions=4)
+    kb.add_many([make_entry(f"a-{i}", rng) for i in range(60)], tenant="a")
+    kb.add_many([make_entry(f"b-{i}", rng) for i in range(60)], tenant="b")
     errors: list[BaseException] = []
     stop = threading.Event()
 
@@ -184,8 +176,8 @@ def test_per_tenant_writes_do_not_block_other_tenants_reads():
         try:
             while not stop.is_set():
                 name = f"churn-{serial}"
-                sharded.add(make_entry(name, wrng), tenant="a")
-                sharded.remove(name, tenant="a")
+                kb.add(make_entry(name, wrng), tenant="a")
+                kb.remove(name, tenant="a")
                 serial += 1
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
@@ -194,7 +186,7 @@ def test_per_tenant_writes_do_not_block_other_tenants_reads():
         qrng = np.random.default_rng(66)
         try:
             for _ in range(200):
-                hits = sharded.retrieve(qrng.normal(size=8), k=4, tenant="b").hits
+                hits = kb.retrieve(qrng.normal(size=8), k=4, tenant="b").hits
                 assert len(hits) == 4
                 assert all(h.entry.entry_id.startswith("b-") for h in hits)
         except BaseException as exc:  # noqa: BLE001
@@ -209,7 +201,6 @@ def test_per_tenant_writes_do_not_block_other_tenants_reads():
     finally:
         stop.set()
         writer_thread.join(timeout=30)
-        sharded.close()
     assert not errors, errors
-    assert sharded.count(tenant="a") == 60
-    assert sharded.count(tenant="b") == 60
+    assert kb.count(tenant="a") == 60
+    assert kb.count(tenant="b") == 60

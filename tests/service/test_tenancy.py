@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import queue
 
 import pytest
 
+from repro.knowledge.knowledge_base import KnowledgeBase
 from repro.service import ExplanationService
 from repro.service.batching import WeightedFairQueue
 from repro.service.cache import ServiceCache
@@ -177,16 +179,18 @@ def test_cache_snapshot_uses_tenant_suffixed_keys():
 # ----------------------------------------------------------- service wiring
 def test_service_quota_rejection_and_tenant_isolation(service_stack):
     system, router, knowledge_base, llm, sqls, _labeled = service_stack
+    partitioned = KnowledgeBase(partitions=2)
+    partitioned.add_many([dataclasses.replace(e) for e in knowledge_base.entries()])
     svc = ExplanationService(
         system,
         router,
-        knowledge_base,
+        partitioned,
         llm,
         max_workers=2,
         max_in_flight=32,
-        num_shards=2,
         tenants=(TenantConfig(name="tiny", requests_per_second=0.001, burst=2.0),),
     )
+    assert svc.knowledge_base is partitioned
     try:
         # Burst of 2, then typed QUOTA_EXCEEDED rejections (retryable).
         outcomes = [svc.explain(sqls[0], tenant="tiny") for _ in range(4)]
@@ -205,7 +209,6 @@ def test_service_quota_rejection_and_tenant_isolation(service_stack):
         assert other.ok and not other.cache_hit
 
         snapshot = svc.metrics_snapshot()
-        assert snapshot["sharding"]["num_shards"] == 2
         assert snapshot["requests.tenant.acme"] == 2
         assert snapshot["requests.tenant.tiny"] == 4
         assert "explanations.acme" in snapshot["cache"]
