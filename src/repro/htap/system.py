@@ -155,8 +155,10 @@ class HTAPSystem:
         """Plan the query on both engines (the EXPLAIN step of the paper)."""
         parsed = self.parse(query) if isinstance(query, str) else query
         with get_tracer().span("htap.optimize", engines="tp+ap"):
-            tp_plan = self.tp_optimizer.optimize(parsed)
-            ap_plan = self.ap_optimizer.optimize(parsed)
+            # One logical analysis feeds both optimizers; neither mutates it.
+            analysis = analyze_query(parsed, self.catalog, self.statistics)
+            tp_plan = self.tp_optimizer.optimize_analysis(analysis)
+            ap_plan = self.ap_optimizer.optimize_analysis(analysis)
         return PlanPair(query=parsed, tp_plan=tp_plan, ap_plan=ap_plan)
 
     def execute_plan(self, engine: EngineKind, plan: PlanNode) -> ExecutionResult:

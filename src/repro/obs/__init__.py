@@ -31,7 +31,6 @@ from repro.obs.promtext import (
     render_prometheus,
 )
 from repro.obs.sampling import Sampler
-from repro.obs.server import AdminServer
 from repro.obs.slo import (
     ErrorRateObjective,
     LatencyObjective,
@@ -47,6 +46,18 @@ from repro.obs.tracing import (
     set_tracer,
     traced,
 )
+
+
+def __getattr__(name: str):
+    # The admin server pulls in asyncio and ssl; load it on first use so
+    # that importing the tracing API (which every serving module does)
+    # stays cheap for deployments that never start the admin plane.
+    if name == "AdminServer":
+        from repro.obs.server import AdminServer
+
+        return AdminServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "NULL_SPAN",

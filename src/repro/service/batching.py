@@ -62,6 +62,7 @@ class WeightedFairQueue(Generic[T]):
         self._last_tag: dict[str, float] = {}
         self._virtual = 0.0
         self._seq = 0
+        self._closed = False
         self._cond = threading.Condition()
 
     def put(self, item: T, *, tenant: str = DEFAULT_TENANT, weight: float = 1.0) -> None:
@@ -76,9 +77,11 @@ class WeightedFairQueue(Generic[T]):
 
     def get(self, timeout: float | None = None) -> T:
         """Pop the fairest pending item; raises :class:`queue.Empty` on
-        timeout like the stdlib queues."""
+        timeout like the stdlib queues, or immediately when the queue is
+        closed and empty."""
         with self._cond:
-            if not self._heap and not self._cond.wait_for(lambda: bool(self._heap), timeout):
+            self._cond.wait_for(lambda: self._heap or self._closed, timeout)
+            if not self._heap:
                 raise queue.Empty
             tag, _seq, item = heapq.heappop(self._heap)
             self._virtual = max(self._virtual, tag)
@@ -95,6 +98,12 @@ class WeightedFairQueue(Generic[T]):
     def qsize(self) -> int:
         with self._cond:
             return len(self._heap)
+
+    def close(self) -> None:
+        """Wake every blocked :meth:`get`; items still queued stay poppable."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
 
 @dataclass
@@ -189,6 +198,7 @@ class MicroBatcher:
             if self._closed.is_set():
                 return
             self._closed.set()
+            self._queue.close()
         self._thread.join(timeout=5.0)
         while True:
             try:
@@ -207,9 +217,9 @@ class MicroBatcher:
     def _run(self) -> None:
         while not self._closed.is_set():
             try:
-                first = self._queue.get(timeout=0.05)
+                first = self._queue.get()
             except queue.Empty:
-                continue
+                continue  # woken by close()
             batch = [first]
             while len(batch) < self.max_batch_size:
                 try:
@@ -233,20 +243,19 @@ class MicroBatcher:
                             batch.append(self._queue.get(timeout=remaining))
                         except queue.Empty:
                             break
-            self._flush(batch)
+            try:
+                self._flush(batch)
+            except Exception as exc:  # noqa: BLE001 - the scheduler must survive
+                # Fail this batch's callers with the error rather than let
+                # the thread die and every later encode hang.
+                for item in batch:
+                    if not item.future.done():
+                        item.future.set_exception(exc)
 
     def _flush(self, batch: list[_PendingEncode]) -> None:
         flush_start = time.perf_counter()
         timings: dict[str, float] = {}
-        try:
-            embeddings = self.router.embed_batch(
-                [item.plan_pair for item in batch], timings=timings
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            for item in batch:
-                if not item.future.cancelled():
-                    item.future.set_exception(exc)
-            return
+        embeddings = self.router.embed_batch([item.plan_pair for item in batch], timings=timings)
         flush_end = time.perf_counter()
         # One pre-timed span per coalesced request, re-parented under the
         # span its submitter captured; requests sharing a batch report the

@@ -27,6 +27,19 @@ def _fold_tenant(digest: "hashlib._Hash", tenant: str | None) -> None:
         digest.update(tenant.encode("utf-8"))
 
 
+def _lower(text: str) -> str:
+    """Lowercase ``text`` one character at a time.
+
+    ``str.lower`` on a whole string applies Unicode's final-sigma rule
+    (``"ΑΣ".lower() == "ας"``), which would make the key of a word depend
+    on its neighbours; per-character lowering never does.  For ASCII the
+    two agree, so the common case stays one C call.
+    """
+    if text.isascii():
+        return text.lower()
+    return "".join(map(str.lower, text))
+
+
 def normalize_sql(sql: str) -> str:
     """Canonical spelling of ``sql`` used for fingerprinting.
 
@@ -34,33 +47,51 @@ def normalize_sql(sql: str) -> str:
     one space and characters are lowercased; literals are preserved verbatim.
     Trailing semicolons and surrounding whitespace are dropped.
     """
-    out: list[str] = []
-    in_literal = False
-    pending_space = False
-    for char in sql:
-        if in_literal:
-            out.append(char)
-            if char == "'":
-                in_literal = False
+    # Splitting on the quote puts the text outside literals at the even
+    # indexes; an unterminated literal simply runs to the end.
+    parts = sql.split("'")
+    for index in range(0, len(parts), 2):
+        segment = parts[index]
+        words = segment.split()
+        if not words:
+            # Whitespace between two literals stays one space; at either
+            # end of the statement the final strip() removes it.
+            parts[index] = " " if segment else ""
             continue
-        if char == "'":
-            if pending_space and out:
-                out.append(" ")
-            pending_space = False
-            out.append(char)
-            in_literal = True
-            continue
-        if char.isspace():
-            pending_space = True
-            continue
-        if pending_space and out:
-            out.append(" ")
-        pending_space = False
-        out.append(char.lower())
-    normalized = "".join(out).strip()
+        collapsed = _lower(" ".join(words))
+        if segment[0].isspace():
+            collapsed = " " + collapsed
+        if segment[-1].isspace():
+            collapsed += " "
+        parts[index] = collapsed
+    normalized = "'".join(parts).strip()
     while normalized.endswith(";"):
         normalized = normalized[:-1].rstrip()
     return normalized
+
+
+def plan_key(normalized: str, *, tenant: str | None = None) -> str:
+    """:func:`sql_fingerprint` of SQL that is already normalized."""
+    digest = hashlib.sha256(normalized.encode("utf-8"))
+    _fold_tenant(digest, tenant)
+    return digest.hexdigest()[:32]
+
+
+def explanation_key(
+    normalized: str,
+    user_notes: str | None = None,
+    top_k: int | None = None,
+    *,
+    tenant: str | None = None,
+) -> str:
+    """:func:`request_cache_key` of SQL that is already normalized."""
+    digest = hashlib.sha256(normalized.encode("utf-8"))
+    digest.update(b"\x00notes\x00")
+    digest.update((user_notes or "").encode("utf-8"))
+    digest.update(b"\x00k\x00")
+    digest.update(str(top_k if top_k is not None else "").encode("utf-8"))
+    _fold_tenant(digest, tenant)
+    return digest.hexdigest()[:32]
 
 
 def sql_fingerprint(sql: str, *, tenant: str | None = None) -> str:
@@ -69,9 +100,7 @@ def sql_fingerprint(sql: str, *, tenant: str | None = None) -> str:
     ``tenant`` namespaces the key so two tenants' identical SQL never
     share a plan-cache line; the default tenant folds to nothing.
     """
-    digest = hashlib.sha256(normalize_sql(sql).encode("utf-8"))
-    _fold_tenant(digest, tenant)
-    return digest.hexdigest()[:32]
+    return plan_key(normalize_sql(sql), tenant=tenant)
 
 
 def request_cache_key(
@@ -83,10 +112,4 @@ def request_cache_key(
 ) -> str:
     """Explanation-cache key: the SQL fingerprint plus everything else that
     shapes the generated answer (user notes, retrieval depth, tenant)."""
-    digest = hashlib.sha256(normalize_sql(sql).encode("utf-8"))
-    digest.update(b"\x00notes\x00")
-    digest.update((user_notes or "").encode("utf-8"))
-    digest.update(b"\x00k\x00")
-    digest.update(str(top_k if top_k is not None else "").encode("utf-8"))
-    _fold_tenant(digest, tenant)
-    return digest.hexdigest()[:32]
+    return explanation_key(normalize_sql(sql), user_notes, top_k, tenant=tenant)

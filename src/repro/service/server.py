@@ -60,7 +60,7 @@ from repro.service.api import (
 from repro.service.batching import MicroBatcher
 from repro.service.cache import CacheLevels, ServiceCache
 from repro.service.config import ServiceConfig
-from repro.service.fingerprint import request_cache_key, sql_fingerprint
+from repro.service.fingerprint import explanation_key, normalize_sql, plan_key
 from repro.service.metrics import MetricsRegistry
 from repro.service.tenancy import TenantConfig, TenantRegistry
 
@@ -298,7 +298,10 @@ class ExplanationService:
                 ServiceErrorCode.QUOTA_EXCEEDED,
                 f"tenant {tenant!r} is over its request quota",
             )
-        cache_key = request_cache_key(sql, user_notes, self.explainer.top_k, tenant=tenant)
+        # The one normalization of this request: a miss derives its plan
+        # key from the same text instead of normalizing again.
+        normalized = normalize_sql(sql)
+        cache_key = explanation_key(normalized, user_notes, self.explainer.top_k, tenant=tenant)
         levels = self.cache.level(tenant)
         with tracer.attach(root):
             cached = self._l1_lookup(tracer, levels, cache_key)
@@ -316,7 +319,7 @@ class ExplanationService:
                 )
             self._in_flight += 1
         try:
-            return self._executor.submit(self._process_guarded, request, cache_key, root)
+            return self._executor.submit(self._process_guarded, request, normalized, cache_key, root)
         except RuntimeError:
             # shutdown() raced us between the _closed check and the executor
             # submit; release the admission slot and reject like any other
@@ -399,14 +402,14 @@ class ExplanationService:
 
     # ------------------------------------------------------------------ worker
     def _process_guarded(
-        self, request: ExplainRequest, cache_key: str, root: "Span" = NULL_SPAN
+        self, request: ExplainRequest, normalized: str, cache_key: str, root: "Span" = NULL_SPAN
     ) -> ExplainResult:
         # Re-enter the root span on this worker thread: it was opened on the
         # submitting thread, and contextvars do not follow work into a pool,
         # so without the attach every stage span below would be orphaned.
         try:
             with get_tracer().attach(root):
-                result = self._process(request, cache_key, root)
+                result = self._process(request, normalized, cache_key, root)
         except Exception as exc:  # noqa: BLE001 - typed result, never raise
             self.metrics.counter("requests.failed").increment()
             root.set_attributes(status="failed", error=type(exc).__name__)
@@ -423,7 +426,7 @@ class ExplanationService:
         return result
 
     def _process(
-        self, request: ExplainRequest, cache_key: str, root: "Span" = NULL_SPAN
+        self, request: ExplainRequest, normalized: str, cache_key: str, root: "Span" = NULL_SPAN
     ) -> ExplainResult:
         started = time.perf_counter()
         queue_seconds = started - request.submitted_at
@@ -442,14 +445,14 @@ class ExplanationService:
         if cached is not None:
             return self._l1_hit(request, cached, root, queue_seconds)
 
-        plan_key = sql_fingerprint(request.sql, tenant=tenant)
+        plan_cache_key = plan_key(normalized, tenant=tenant)
         # Epochs read *before* computing guard the puts below: if DDL or a KB
         # write invalidates a cache while this request is mid-flight, the
         # stale result must not be re-inserted after the clear.
         plan_epoch = levels.plans.epoch
         explanation_epoch = levels.explanations.epoch
         with tracer.span("cache.l2_lookup") as lookup:
-            plan_entry = self.cache.get_plan(plan_key, tenant=tenant)
+            plan_entry = self.cache.get_plan(plan_cache_key, tenant=tenant)
             lookup.set_attribute("hit", plan_entry is not None)
         encode_seconds = 0.0
         if plan_entry is None:
@@ -462,7 +465,7 @@ class ExplanationService:
                     weight=self.tenants.weight(tenant),
                 )
             encode_seconds = time.perf_counter() - encode_start
-            self.cache.put_plan(plan_key, execution, embedding, epoch=plan_epoch, tenant=tenant)
+            self.cache.put_plan(plan_cache_key, execution, embedding, epoch=plan_epoch, tenant=tenant)
             plan_cache_hit = False
         else:
             execution, embedding = plan_entry

@@ -4,7 +4,9 @@ import pytest
 
 from repro.htap.engines.base import EngineKind
 from repro.htap.engines.execution import ExecutionSimulator, HardwareProfile, LatencyBreakdown
+from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.system import HTAPSystem
+from repro.workloads.generator import WorkloadGenerator
 
 
 # ------------------------------------------------------------- EngineKind
@@ -132,3 +134,12 @@ def test_execute_plan_directly(system, example1_sql):
     result = simulator.execute(EngineKind.AP, pair.ap_plan)
     assert result.latency_seconds > 0
     assert result.latency_ms == pytest.approx(result.latency_seconds * 1000)
+
+
+def test_explain_pair_shares_one_analysis_without_changing_plans(system):
+    """Both engines plan from one analysis; the plans equal per-engine optimize()."""
+    for query in WorkloadGenerator(seed=29).generate(120):
+        parsed = system.parse(query.sql)
+        pair = system.explain_pair(parsed)
+        assert plan_to_dict(pair.tp_plan) == plan_to_dict(system.tp_optimizer.optimize(parsed))
+        assert plan_to_dict(pair.ap_plan) == plan_to_dict(system.ap_optimizer.optimize(parsed))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.obs.promtext import METRIC_LINE
@@ -107,6 +108,37 @@ def test_health_report_degrades_when_batcher_dies(service):
     report = service.health_report()
     assert not report.ok
     assert "batcher" in {check.name for check in report.failing}
+
+
+def test_batcher_survives_an_error_in_flush_bookkeeping(service_stack, monkeypatch):
+    """A fault after the forward pass fails that batch only; the scheduler
+    keeps serving and /healthz still reports it alive."""
+    system, router, knowledge_base, llm, _sqls, labeled = service_stack
+    service = ExplanationService(system, router, knowledge_base, llm, max_workers=2, admin_port=0)
+    try:
+        metrics = service.batcher.metrics
+        real_counter = metrics.counter
+        injected: list[str] = []
+
+        def faulty_counter(name: str):
+            if name == "batcher.batches" and not injected:
+                injected.append(name)
+                raise RuntimeError("injected bookkeeping fault")
+            return real_counter(name)
+
+        monkeypatch.setattr(metrics, "counter", faulty_counter)
+        pair = labeled[0].execution.plan_pair
+        with pytest.raises(RuntimeError, match="injected bookkeeping fault"):
+            service.batcher.submit(pair).result(timeout=1.0)
+        # A dead scheduler would make this wait time out.
+        embedding = service.batcher.submit(pair).result(timeout=1.0)
+        assert np.allclose(embedding, router.embed_pair(pair), atol=1e-9)
+
+        status, health = _get(service.admin.url + "/healthz")
+        checks = {check["name"]: check for check in json.loads(health)["checks"]}
+        assert status == 200 and checks["batcher"]["ok"] is True
+    finally:
+        service.shutdown()
 
 
 @pytest.mark.parametrize("readiness", [False, True])

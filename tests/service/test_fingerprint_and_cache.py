@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypothesis import example, given, settings, strategies as st
+
 from repro.service.cache import LRUTTLCache, ServiceCache
 from repro.service.fingerprint import normalize_sql, request_cache_key, sql_fingerprint
 
@@ -27,6 +29,59 @@ def test_request_cache_key_varies_with_notes_and_k():
     assert request_cache_key(sql) == base
     assert request_cache_key(sql, user_notes="index on c_phone") != base
     assert request_cache_key(sql, top_k=3) != request_cache_key(sql, top_k=2)
+
+
+def _reference_normalize(sql: str) -> str:
+    """The original per-character normalizer, kept as the oracle."""
+    out: list[str] = []
+    in_literal = False
+    pending_space = False
+    for char in sql:
+        if in_literal:
+            out.append(char)
+            if char == "'":
+                in_literal = False
+            continue
+        if char == "'":
+            if pending_space and out:
+                out.append(" ")
+            pending_space = False
+            out.append(char)
+            in_literal = True
+            continue
+        if char.isspace():
+            pending_space = True
+            continue
+        if pending_space and out:
+            out.append(" ")
+        pending_space = False
+        out.append(char.lower())
+    normalized = "".join(out).strip()
+    while normalized.endswith(";"):
+        normalized = normalized[:-1].rstrip()
+    return normalized
+
+
+#: Quotes, every kind of whitespace, semicolons, and letters whose
+#: lowercase depends on context (final sigma) or changes length (İ).
+_TRICKY = st.text(
+    alphabet=st.sampled_from(list("'';; \t\n\r\x0b\x0c\x1c\x85\u00a0\u3000ΣσΑİIiSELCTxy,()=*0")),
+    max_size=60,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(), _TRICKY))
+@example("'a' \n 'b'")
+@example("  SELECT 'X'x  'Y';  ;")
+@example("ΑΣ 'ΑΣ' ΑΣ")
+def test_normalize_matches_per_character_reference(sql):
+    assert normalize_sql(sql) == _reference_normalize(sql)
+
+
+def test_normalize_keeps_per_character_sigma():
+    # str.lower() on the whole word would give the final form "ας".
+    assert normalize_sql("SELECT ΑΣ  FROM t") == "select ασ from t"
 
 
 # -------------------------------------------------------------------- LRU

@@ -59,6 +59,28 @@ def test_normalized_sql_variants_share_one_cache_line(service, service_stack):
         assert result.cache_hit
 
 
+def test_sql_is_normalized_once_per_request(service, service_stack, monkeypatch):
+    import repro.service.fingerprint as fingerprint
+    import repro.service.server as server
+
+    _system, _router, _kb, _llm, sqls, _labeled = service_stack
+    calls: list[str] = []
+    real = fingerprint.normalize_sql
+
+    def counting(sql: str) -> str:
+        calls.append(sql)
+        return real(sql)
+
+    monkeypatch.setattr(fingerprint, "normalize_sql", counting)
+    monkeypatch.setattr(server, "normalize_sql", counting)
+    miss = service.explain(sqls[0])
+    assert miss.ok and not miss.cache_hit
+    assert calls == [sqls[0]]
+    hit = service.explain(sqls[0])
+    assert hit.ok and hit.cache_hit
+    assert calls == [sqls[0], sqls[0]]
+
+
 def test_32_concurrent_requests_zero_errors(service, service_stack):
     _system, _router, _kb, _llm, sqls, _labeled = service_stack
     workload = [sqls[i % len(sqls)] for i in range(64)]  # repeating workload
@@ -117,6 +139,16 @@ def test_shutdown_rejects_new_requests(service_stack):
     assert result.status is RequestStatus.REJECTED
     assert result.error.code is ServiceErrorCode.SERVICE_CLOSED
     assert not result.error.retryable
+
+
+def test_shutdown_does_not_wait_for_a_scheduler_poll(service_stack):
+    system, router, kb, llm, sqls, _labeled = service_stack
+    service = ExplanationService(system, router, kb, llm, max_workers=2)
+    assert service.explain(sqls[0]).ok
+    start = time.perf_counter()
+    service.shutdown()
+    assert time.perf_counter() - start < 0.020
+    assert not service.batcher.alive
 
 
 def test_each_rejection_counted_once_and_only_service_caused_ones_burn(service_stack):
