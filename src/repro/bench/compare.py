@@ -79,19 +79,7 @@ DEFAULT_TOLERANCES: tuple[tuple[str, Tolerance], ...] = (
     ("counters.*shed*", Tolerance(Direction.LOWER_IS_BETTER, abs=0.0)),
     ("counters.*deadline*", Tolerance(Direction.LOWER_IS_BETTER, abs=0.0)),
     ("*accuracy*", Tolerance(Direction.HIGHER_IS_BETTER, abs=0.10)),
-    ("*hit_rate*", Tolerance(Direction.HIGHER_IS_BETTER, abs=0.15)),
-    # Lock-contention speedups (sharded_kb).  The p95 tail is where the
-    # single writer lock hurts, and it is stable run-to-run (8-20x); gate
-    # it with enough slack that the floor sits at the ~2x acceptance bar.
-    # The p50 scalar depends on whether the writer happened to collide
-    # with most of the timed retrievals — pure scheduler luck on a loaded
-    # CI runner (observed medians 2x-18x) — so it is reported, not gated.
-    ("metrics.p50_speedup", Tolerance(Direction.INFORMATIONAL)),
-    ("metrics.p95_speedup", Tolerance(Direction.HIGHER_IS_BETTER, rel=0.85)),
-    ("*speedup*", Tolerance(Direction.HIGHER_IS_BETTER, rel=0.75)),
     ("*ops_per_second*", Tolerance(Direction.HIGHER_IS_BETTER, rel=0.80)),
-    ("*qps*", Tolerance(Direction.HIGHER_IS_BETTER, rel=0.80)),
-    ("*batch_size*", Tolerance(Direction.INFORMATIONAL)),
     # Observability-tax ratios sit near 1.0 but are measured over tens of
     # microseconds of warm-path latency, so they wobble hard with runner
     # load; gate only the order-of-magnitude blowups where tracing

@@ -18,7 +18,7 @@ them.  The schema is versioned and deliberately flat:
       "throughput": {"operations": 120, "ops_per_second": 2900.0}
     }
 
-Every ``metrics`` entry is the :func:`repro.bench.stats.summarize` shape
+Every ``metrics`` entry is the :func:`repro.obs.stats.summarize` shape
 (count / mean / min / p50 / p95 / p99 / max), so percentile semantics are
 identical across suites and across the serving-layer histograms.
 """

@@ -17,7 +17,6 @@ from typing import Any
 
 from repro.baselines.dbgpt import DBGPTExplainer
 from repro.baselines.norag import NoRagExplainer
-from repro.bench.stats import percentile
 from repro.explainer.evaluation import AccuracyReport, ExpertPanel, Grade
 from repro.explainer.pipeline import Explanation, RagExplainer, entries_from_labeled
 from repro.explainer.timing import LatencyProfile
@@ -28,6 +27,7 @@ from repro.knowledge.knowledge_base import KnowledgeBase
 from repro.knowledge.vector_store import FlatVectorStore, HNSWVectorStore
 from repro.llm.prompts import PromptBuilder
 from repro.llm.simulated import SimulatedLLM
+from repro.obs.stats import percentile
 from repro.router.router import SmartRouter
 from repro.study.participants import ParticipantPool
 from repro.study.protocol import ParticipantStudy, StudyMaterials, StudyReport
@@ -330,7 +330,7 @@ class ExperimentHarness:
             "model_size_bytes": float(self.router.model_size_bytes()),
             "parameter_count": float(self.router.parameter_count()),
             "mean_inference_ms": statistics.mean(timings) * 1000.0,
-            # Shared nearest-rank convention (repro.bench.stats) so this p95
+            # Shared nearest-rank convention (repro.obs.stats) so this p95
             # agrees with the serving histograms and the BENCH_*.json export.
             "p95_inference_ms": percentile(timings, 0.95) * 1000.0,
         }

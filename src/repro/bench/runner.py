@@ -13,7 +13,7 @@ across PRs:
   operation count for throughput;
 * :class:`StrategyRunner` — drives the lifecycle and pools the measured
   runs into one :class:`StrategyReport` of per-metric summaries
-  (p50/p95/p99 via :mod:`repro.bench.stats`), summed counters, and
+  (p50/p95/p99 via :mod:`repro.obs.stats`), summed counters, and
   aggregate throughput.
 """
 
@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.bench.stats import summarize
+from repro.obs.stats import summarize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bench.harness import ExperimentHarness

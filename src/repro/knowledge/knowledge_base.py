@@ -14,14 +14,8 @@ ablation can compare both.
 tenant.  The default namespace doubles as the shared corpus: tenant
 retrieval searches it too, so tenants are grounded without seeding each
 namespace, and a tenant entry hides a shared entry with the same id.
-
-**Partitions.**  ``partitions=N`` splits every tenant's entries into N
-lock-striped namespaces, placed by a stable hash of the entry id.  Each
-(partition, tenant) namespace owns its vector store and its read–write
-lock, so a write holds one namespace's lock while retrieval proceeds on the
-others.  ``retrieve`` searches the namespaces one after another on the
-caller's thread and merges their hits by ``(distance, entry_id)``; with an
-exact (flat) store the top-K is the same at every N.
+Each tenant namespace owns its vector store and its read–write lock, so a
+write to one tenant never blocks retrieval for another.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Container, Iterator
@@ -82,7 +75,7 @@ class RetrievalResult:
 
 
 class _Namespace:
-    """One (partition, tenant) slice: its entries, its index, its lock."""
+    """One tenant's slice: its entries, its index, its lock."""
 
     __slots__ = ("entries", "store", "lock")
 
@@ -129,34 +122,25 @@ def _merge_key(pair: tuple[float, KnowledgeEntry]) -> tuple[float, str]:
 class KnowledgeBase:
     """Embedding-keyed store of historical queries and expert explanations.
 
-    ``store_factory`` builds the vector store of each (partition, tenant)
-    namespace; pass ``lambda: HNSWVectorStore(...)`` for the approximate
-    index.  ``partitions`` is fixed at construction.
+    ``store_factory`` builds the vector store of each tenant namespace;
+    pass ``lambda: HNSWVectorStore(...)`` for the approximate index.
 
     Thread safety: writes (add / remove / correct) hold the write lock of
-    the one namespace that owns the entry; retrieval holds each searched
-    namespace's read lock only while searching it.  Write listeners — used
-    by the serving layer to invalidate its caches — fire *after* the lock
-    is released, so a listener may safely read the knowledge base.
+    the tenant's namespace; retrieval holds each searched namespace's read
+    lock only while searching it.  Write listeners — used by the serving
+    layer to invalidate its caches — fire *after* the lock is released, so
+    a listener may safely read the knowledge base.
     """
 
-    def __init__(
-        self,
-        store_factory: Callable[[], VectorStore] = FlatVectorStore,
-        *,
-        partitions: int = 1,
-    ):
-        if partitions < 1:
-            raise ValueError("partitions must be at least 1")
-        self.partitions = partitions
+    def __init__(self, store_factory: Callable[[], VectorStore] = FlatVectorStore):
         self._store_factory = store_factory
-        #: tenant -> one namespace per partition; replaced copy-on-write so
-        #: readers never see a dict mid-update.
-        self._namespaces: dict[str, tuple[_Namespace, ...]] = {}
+        #: tenant -> namespace; replaced copy-on-write so readers never see
+        #: a dict mid-update.
+        self._namespaces: dict[str, _Namespace] = {}
         self._namespaces_lock = threading.Lock()
         self._insert_counter = itertools.count(1)
         self._write_listeners: list[WriteListener] = []
-        self._tenant_namespaces(DEFAULT_TENANT)
+        self._tenant_namespace(DEFAULT_TENANT)
 
     # -------------------------------------------------------------- listeners
     def add_write_listener(self, listener: WriteListener) -> None:
@@ -170,32 +154,21 @@ class KnowledgeBase:
         for listener in list(self._write_listeners):
             listener(event, entry_id, tenant)
 
-    # ------------------------------------------------------------- placement
-    def _partition(self, entry_id: str) -> int:
-        if self.partitions == 1:
-            return 0
-        return zlib.crc32(entry_id.encode("utf-8")) % self.partitions
-
-    def _tenant_namespaces(self, tenant: str) -> tuple[_Namespace, ...]:
-        """The tenant's namespaces, created on its first write."""
-        namespaces = self._namespaces.get(tenant)
-        if namespaces is None:
+    # ------------------------------------------------------------- namespaces
+    def _tenant_namespace(self, tenant: str) -> _Namespace:
+        """The tenant's namespace, created on its first write."""
+        namespace = self._namespaces.get(tenant)
+        if namespace is None:
             with self._namespaces_lock:
-                namespaces = self._namespaces.get(tenant)
-                if namespaces is None:
-                    namespaces = tuple(
-                        _Namespace(self._store_factory()) for _ in range(self.partitions)
-                    )
-                    self._namespaces = {**self._namespaces, tenant: namespaces}
-        return namespaces
-
-    def _owner(self, entry_id: str, tenant: str) -> _Namespace | None:
-        namespaces = self._namespaces.get(tenant)
-        return None if namespaces is None else namespaces[self._partition(entry_id)]
+                namespace = self._namespaces.get(tenant)
+                if namespace is None:
+                    namespace = _Namespace(self._store_factory())
+                    self._namespaces = {**self._namespaces, tenant: namespace}
+        return namespace
 
     # ------------------------------------------------------------------ write
     def _insert(self, entry: KnowledgeEntry, tenant: str) -> None:
-        namespace = self._tenant_namespaces(tenant)[self._partition(entry.entry_id)]
+        namespace = self._tenant_namespace(tenant)
         with namespace.lock.write_locked():
             if entry.entry_id in namespace.entries:
                 raise KeyError(f"duplicate entry id {entry.entry_id!r}")
@@ -220,7 +193,7 @@ class KnowledgeBase:
     @contextmanager
     def _write_existing(self, entry_id: str, tenant: str) -> Iterator[_Namespace]:
         """Write-lock the namespace holding ``entry_id``, or raise KeyError."""
-        namespace = self._owner(entry_id, tenant)
+        namespace = self._namespaces.get(tenant)
         if namespace is None:
             raise _unknown(entry_id, tenant)
         with namespace.lock.write_locked():
@@ -251,36 +224,33 @@ class KnowledgeBase:
 
     # ------------------------------------------------------------------- read
     def get(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> KnowledgeEntry:
-        namespace = self._owner(entry_id, tenant)
+        namespace = self._namespaces.get(tenant)
         entry = None if namespace is None else namespace.entries.get(entry_id)
         if entry is None:
             raise _unknown(entry_id, tenant)
         return entry
 
     def contains(self, entry_id: str, *, tenant: str = DEFAULT_TENANT) -> bool:
-        namespace = self._owner(entry_id, tenant)
+        namespace = self._namespaces.get(tenant)
         return namespace is not None and entry_id in namespace.entries
 
     def __contains__(self, entry_id: str) -> bool:
         return self.contains(entry_id)
 
     def count(self, *, tenant: str = DEFAULT_TENANT) -> int:
-        return sum(len(namespace.entries) for namespace in self._namespaces.get(tenant, ()))
+        namespace = self._namespaces.get(tenant)
+        return 0 if namespace is None else len(namespace.entries)
 
     def __len__(self) -> int:
         """Entries across every tenant."""
-        return sum(
-            len(namespace.entries)
-            for namespaces in self._namespaces.values()
-            for namespace in namespaces
-        )
+        return sum(len(namespace.entries) for namespace in self._namespaces.values())
 
     def entries(self, *, tenant: str = DEFAULT_TENANT) -> list[KnowledgeEntry]:
-        collected: list[KnowledgeEntry] = []
-        for namespace in self._namespaces.get(tenant, ()):
-            with namespace.lock.read_locked():
-                collected.extend(namespace.entries.values())
-        return collected
+        namespace = self._namespaces.get(tenant)
+        if namespace is None:
+            return []
+        with namespace.lock.read_locked():
+            return list(namespace.entries.values())
 
     # ---------------------------------------------------------------- retrieve
     def retrieve(
@@ -294,15 +264,13 @@ class KnowledgeBase:
         """
         query = np.asarray(embedding, dtype=np.float64)
         with get_tracer().span("kb.retrieve", k=k, tenant=tenant) as span:
-            own = self._namespaces.get(tenant, ())
-            targets = [(namespace, _NOTHING_HIDDEN) for namespace in own]
+            own = self._namespaces.get(tenant)
+            targets: list[tuple[_Namespace, Container[str]]] = []
+            if own is not None:
+                targets.append((own, _NOTHING_HIDDEN))
             if tenant != DEFAULT_TENANT:
-                # Placement hashes the entry id alone, so a tenant entry and
-                # the shared entry it hides sit in the same partition.
-                targets.extend(
-                    (shared, own[index].entries if own else _NOTHING_HIDDEN)
-                    for index, shared in enumerate(self._namespaces[DEFAULT_TENANT])
-                )
+                shadowed = _NOTHING_HIDDEN if own is None else own.entries
+                targets.append((self._namespaces[DEFAULT_TENANT], shadowed))
             pairs: list[tuple[float, KnowledgeEntry]] = []
             search_seconds = 0.0
             for namespace, hidden in targets:

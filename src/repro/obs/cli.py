@@ -39,8 +39,8 @@ import sys
 from typing import Any, Iterable, Sequence
 
 from repro.bench.reporting import format_table
-from repro.bench.stats import summarize
 from repro.obs.jsonlog import read_traces
+from repro.obs.stats import summarize
 
 #: Attributes rendered inline next to each span in the tree.
 _MAX_INLINE_ATTRIBUTES = 6

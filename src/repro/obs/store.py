@@ -170,11 +170,7 @@ class TraceStore:
 
 
 def stage_durations(traces: Iterable[Trace]) -> dict[str, list[float]]:
-    """Pool per-span durations by span name across many traces.
-
-    This is the aggregation behind both ``repro-trace breakdown`` and the
-    ``stage_breakdown`` bench suite.
-    """
+    """Pool per-span durations by span name across many traces."""
     pooled: dict[str, list[float]] = {}
     for trace in traces:
         for span in trace.spans:

@@ -21,8 +21,8 @@ The design goals, in priority order:
 
 On every span finish the tracer also feeds a per-stage latency histogram
 (``stage.<name>``) in its own :class:`MetricsRegistry`, which is what the
-Prometheus exposition (:mod:`repro.obs.promtext`) and the
-``stage_breakdown`` bench suite read.
+Prometheus exposition (:mod:`repro.obs.promtext`) and
+``repro-trace breakdown`` read.
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ class Tracer:
         # Local imports keep this module import-light: instrumented
         # low-level modules (htap, router, knowledge) import
         # repro.obs.tracing at load time, and an eager import of
-        # repro.service.metrics here would drag in repro.bench (whose
-        # package __init__ imports the harness and, transitively, those
+        # repro.service.metrics here would run the repro.service package
+        # __init__ (which imports the server and, transitively, those
         # same low-level modules) while they are still initializing.
         from repro.obs.store import TraceStore
         from repro.service.metrics import MetricsRegistry
@@ -479,7 +479,7 @@ class Tracer:
 # Constructed lazily on first use, not at import time: Tracer.__init__
 # imports repro.service.metrics, and building one while a low-level
 # instrumented module is still mid-import would re-enter that module
-# through the repro.bench package __init__.
+# through the repro.service package __init__.
 _GLOBAL_TRACER: Tracer | None = None
 _GLOBAL_LOCK = threading.Lock()
 
@@ -528,7 +528,7 @@ def traced(tracer: Tracer | None = None, **tracer_kwargs: Any) -> _TracingSessio
     """Temporarily install an **enabled** tracer as the process-global one.
 
     ``with traced() as tracer: ...`` is the one-liner the examples, the
-    ``stage_breakdown`` bench suite, and the tests use; keyword arguments
+    ``obs_overhead`` bench suite, and the tests use; keyword arguments
     are forwarded to :class:`Tracer` when no instance is given.
     """
     if tracer is None:

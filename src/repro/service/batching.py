@@ -178,9 +178,14 @@ class MicroBatcher:
         *,
         tenant: str = DEFAULT_TENANT,
         weight: float = 1.0,
+        timeout: float | None = None,
     ) -> np.ndarray:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(plan_pair, tenant=tenant, weight=weight).result()
+        """Blocking convenience wrapper around :meth:`submit`.
+
+        Waits at most ``timeout`` seconds (forever when ``None``) and then
+        raises :class:`concurrent.futures.TimeoutError`.
+        """
+        return self.submit(plan_pair, tenant=tenant, weight=weight).result(timeout)
 
     @property
     def alive(self) -> bool:

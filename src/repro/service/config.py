@@ -22,8 +22,7 @@ The knobs group into four concerns:
 * **tenancy** — ``tenants``: declarative per-tenant weights and quotas
   (:class:`~repro.service.tenancy.TenantConfig`).  Every tenant, declared
   or not, retrieves from its own namespace of the knowledge base plus the
-  shared corpus; how that knowledge base is partitioned is chosen when it
-  is built (``KnowledgeBase(partitions=N)``), not here;
+  shared corpus;
 * **observability** — ``admin_port`` / ``admin_host``: when ``admin_port``
   is set (``0`` picks an ephemeral port) the service starts an embedded
   :class:`~repro.obs.server.AdminServer` exposing ``/metrics``,

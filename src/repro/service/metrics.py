@@ -4,7 +4,7 @@ Deliberately lightweight: a :class:`MetricsRegistry` is a named bag of
 :class:`Counter` and :class:`LatencyHistogram` objects whose
 :meth:`~MetricsRegistry.snapshot` exports one plain dict — the contract the
 throughput benchmark, the ``BENCH_*.json`` exporter, and any external
-scraper consume.  Quantile math is delegated to :mod:`repro.bench.stats`
+scraper consume.  Quantile math is delegated to :mod:`repro.obs.stats`
 so a p95 reported here uses the same nearest-rank convention as every
 other percentile in the repo.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.bench.stats import percentile_index
+from repro.obs.stats import percentile_index
 
 
 class Counter:

@@ -24,8 +24,7 @@ production-shaped request path:
   that tenant's knowledge-base namespace plus the shared corpus,
   tenant-scoped cache levels and fingerprints, per-tenant quotas
   (``QUOTA_EXCEEDED`` rejections) and weighted fair batching.  The service
-  uses the knowledge base it is given; build it with
-  ``KnowledgeBase(partitions=N)`` to lock-stripe expert writes;
+  uses the knowledge base it is given;
 * **telemetry** — counters and p50/p95/p99 latency histograms exported as
   one dict by :meth:`ExplanationService.metrics_snapshot`;
 * **admin plane** — with ``ServiceConfig(admin_port=...)`` the service
@@ -41,6 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Sequence
 
 from repro.explainer.pipeline import Explanation, RagExplainer, execution_result_text
@@ -458,11 +458,17 @@ class ExplanationService:
         if plan_entry is None:
             execution: QueryExecution = self.system.run_both(request.sql)
             encode_start = time.perf_counter()
-            with tracer.span("pipeline.encode", batched=True):
-                embedding = self.batcher.encode(
-                    execution.plan_pair,
-                    tenant=tenant,
-                    weight=self.tenants.weight(tenant),
+            try:
+                with tracer.span("pipeline.encode", batched=True):
+                    embedding = self.batcher.encode(
+                        execution.plan_pair,
+                        tenant=tenant,
+                        weight=self.tenants.weight(tenant),
+                        timeout=request.remaining_seconds(),
+                    )
+            except FutureTimeout:
+                return self._deadline_exceeded(
+                    request, root, queue_seconds, "waiting for the encoder"
                 )
             encode_seconds = time.perf_counter() - encode_start
             self.cache.put_plan(plan_cache_key, execution, embedding, epoch=plan_epoch, tenant=tenant)

@@ -155,3 +155,16 @@ def test_prompt_assembly_checks(small_harness):
     assert result["contains_question"]
     assert result["knowledge_blocks"] >= 1
     assert set(result["table_i"]) == {"Background information", "Task description", "Additional user context"}
+
+
+def test_committed_baselines_match_the_suite_registry():
+    """Every suite has a committed baseline and every baseline has a suite:
+    ``repro-bench compare`` silently ignores a baseline nothing produces."""
+    from pathlib import Path
+
+    from repro.bench.export import bench_filename
+    from repro.bench.strategies import build_suites
+
+    repo_root = Path(__file__).resolve().parents[2]
+    committed = {path.name for path in repo_root.glob("BENCH_*.json")}
+    assert committed == {bench_filename(name) for name in build_suites()}

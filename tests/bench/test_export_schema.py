@@ -23,7 +23,7 @@ from repro.bench.runner import (
     RunResult,
     StrategyRunner,
 )
-from repro.bench.stats import percentile, summarize
+from repro.obs.stats import percentile, summarize
 
 
 class TinyStrategy(ExperimentStrategy):

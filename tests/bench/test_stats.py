@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.stats import percentile, percentile_index, summarize
+from repro.obs.stats import percentile, percentile_index, summarize
 from repro.service.metrics import LatencyHistogram
 
 

@@ -118,13 +118,8 @@ def with_embedding(entry: KnowledgeEntry, embedding) -> KnowledgeEntry:
     return dataclasses.replace(entry, embedding=np.asarray(embedding, dtype=np.float64))
 
 
-def test_partitions_must_be_positive():
-    with pytest.raises(ValueError):
-        KnowledgeBase(partitions=0)
-
-
 def test_crud_round_trip_and_errors():
-    kb = KnowledgeBase(partitions=3)
+    kb = KnowledgeBase()
     entries = make_entries(10)
     kb.add_many(entries[:9])
     kb.add(entries[9])
@@ -149,7 +144,7 @@ def test_crud_round_trip_and_errors():
 
 
 def test_tenant_namespaces_are_isolated():
-    kb = KnowledgeBase(partitions=3)
+    kb = KnowledgeBase()
     rng = np.random.default_rng(1)
     kb.add_many(make_entries(30), tenant="tenant-a")
     kb.add_many(make_entries(5, seed=9), tenant="tenant-b")
@@ -174,7 +169,7 @@ def test_tenant_retrieval_grounds_on_shared_corpus():
     """The default namespace is the shared corpus: tenant retrieval unions
     it with the tenant's own entries, and a tenant entry shadows a shared
     entry with the same id."""
-    kb = KnowledgeBase(partitions=3)
+    kb = KnowledgeBase()
     rng = np.random.default_rng(7)
     kb.add_many(make_entries(20))  # default tenant = shared corpus
     query = rng.normal(size=8)
@@ -204,7 +199,7 @@ def test_tenant_retrieval_grounds_on_shared_corpus():
 
 
 def test_write_listener_reports_tenant():
-    kb = KnowledgeBase(partitions=2)
+    kb = KnowledgeBase()
     events: list[tuple[str, str, str]] = []
 
     def listener(*args: str) -> None:
@@ -234,9 +229,7 @@ def test_write_listener_reports_tenant():
 
 
 def test_hnsw_store_factory():
-    kb = KnowledgeBase(
-        lambda: HNSWVectorStore(M=8, ef_construction=32, ef_search=16), partitions=3
-    )
+    kb = KnowledgeBase(lambda: HNSWVectorStore(M=8, ef_construction=32, ef_search=16))
     kb.add_many(make_entries(60))
     rng = np.random.default_rng(5)
     result = kb.retrieve(rng.normal(size=8), k=4)
@@ -248,7 +241,6 @@ def test_hnsw_store_factory():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    partitions=st.sampled_from([1, 2, 3, 4, 8]),
     seed=st.integers(min_value=0, max_value=2**16),
     shared=st.integers(min_value=0, max_value=30),
     tenant_rows=st.lists(
@@ -257,16 +249,16 @@ def test_hnsw_store_factory():
     ),
     k=st.integers(min_value=1, max_value=6),
 )
-def test_partitioned_topk_matches_one_partition(partitions, seed, shared, tenant_rows, k):
-    """Flat-store top-k is the same at every partition count, for the
-    shared corpus and for tenants whose ids overlap (and so shadow) it."""
+def test_tenant_topk_matches_visible_set_oracle(seed, shared, tenant_rows, k):
+    """Tenant retrieval equals a flat search over exactly what the tenant
+    may see, for tenants whose ids overlap (and so shadow) the shared
+    corpus as well as for the shared corpus itself."""
     rng = np.random.default_rng(seed)
     rows = [(DEFAULT_TENANT, i) for i in range(shared)] + list(dict.fromkeys(tenant_rows))
     placed = [(tenant, make_entry(i, rng)) for tenant, i in rows]
-    one, many = KnowledgeBase(), KnowledgeBase(partitions=partitions)
+    kb = KnowledgeBase()
     for tenant, entry in placed:
-        one.add(entry, tenant=tenant)
-        many.add(entry, tenant=tenant)
+        kb.add(entry, tenant=tenant)
     for tenant in (DEFAULT_TENANT, "acme", "beta", "zeta"):
         # What the tenant may see: its own entries, plus shared ones it
         # does not shadow.
@@ -276,12 +268,10 @@ def test_partitioned_topk_matches_one_partition(partitions, seed, shared, tenant
         reference.add_many([dataclasses.replace(e) for e in visible.values()])
         for _ in range(3):
             query = rng.normal(size=8)
-            expected = one.retrieve(query, k=k, tenant=tenant).hits
-            got = many.retrieve(query, k=k, tenant=tenant).hits
-            assert [h.entry.entry_id for h in got] == [h.entry.entry_id for h in expected]
-            assert [h.distance for h in got] == pytest.approx([h.distance for h in expected])
+            got = kb.retrieve(query, k=k, tenant=tenant).hits
             oracle = reference.retrieve(query, k=k).hits
-            assert [h.entry.entry_id for h in expected] == [h.entry.entry_id for h in oracle]
+            assert [h.entry.entry_id for h in got] == [h.entry.entry_id for h in oracle]
+            assert [h.distance for h in got] == pytest.approx([h.distance for h in oracle])
 
 
 # ---------------------------------------------------------------- curation

@@ -198,6 +198,28 @@ def test_expired_deadline_is_typed_failure(service_stack):
         assert result.error.retryable
 
 
+def test_stalled_encoder_resolves_at_deadline(service_stack):
+    """A cold request whose encode never returns still resolves by its
+    deadline, counted once, with its in-flight slot released."""
+    system, router, kb, llm, sqls, _labeled = service_stack
+    release = threading.Event()
+    embed_batch = router.embed_batch
+    router.embed_batch = lambda *args, **kwargs: release.wait(30.0) and embed_batch(*args, **kwargs)
+    service = ExplanationService(system, router, kb, llm, max_workers=2)
+    try:
+        result = service.submit(sqls[0], deadline_seconds=0.2).result(timeout=2.0)
+        assert result.status is RequestStatus.FAILED
+        assert result.error.code is ServiceErrorCode.DEADLINE_EXCEEDED
+        assert "waiting for the encoder" in result.error.message
+        snapshot = service.metrics_snapshot()
+        assert snapshot["requests.rejected.deadline_exceeded"] == 1
+        assert snapshot["in_flight"] == 0
+    finally:
+        release.set()
+        del router.embed_batch
+        service.shutdown()
+
+
 def test_generous_deadline_succeeds(service, service_stack):
     _system, _router, _kb, _llm, sqls, _labeled = service_stack
     result = service.explain(sqls[2], deadline_seconds=30.0)

@@ -1,4 +1,4 @@
-"""Concurrent reader/writer stress for the partitioned knowledge base.
+"""Concurrent reader/writer stress for the tenant-namespaced knowledge base.
 
 Marked ``kb_stress`` so CI runs these in a dedicated job; they also
 stay short enough to ride along in the default (tier-1) run.
@@ -35,7 +35,7 @@ def make_entry(name: str, rng: np.random.Generator, dim: int = 8) -> KnowledgeEn
 
 def test_concurrent_readers_and_writers_never_error():
     rng = np.random.default_rng(11)
-    kb = KnowledgeBase(partitions=4)
+    kb = KnowledgeBase()
     kb.add_many([make_entry(f"seed-{i}", rng) for i in range(120)])
     errors: list[BaseException] = []
     stop = threading.Event()
@@ -82,9 +82,9 @@ def test_concurrent_readers_and_writers_never_error():
 
 
 def test_concurrent_first_writes_to_new_tenants_lose_nothing():
-    """Threads racing to create the same tenant's namespaces must all land
-    in one set of namespaces: a lost creation would drop its entries."""
-    kb = KnowledgeBase(partitions=3)
+    """Threads racing to create the same tenant's namespace must all land
+    in one namespace: a lost creation would drop its entries."""
+    kb = KnowledgeBase()
     workers, per_worker = 8, 40
     barrier = threading.Barrier(workers)
     errors: list[BaseException] = []
@@ -116,12 +116,10 @@ def test_concurrent_first_writes_to_new_tenants_lose_nothing():
 
 
 def test_hnsw_bulk_ingest_under_concurrent_retrieval():
-    """The bench scenario in miniature: bulk add_many on HNSW partitions while
-    readers retrieve — no errors, no empty results once seeded."""
+    """Bulk add_many on an HNSW store while readers retrieve — no errors,
+    no empty results once seeded."""
     rng = np.random.default_rng(23)
-    kb = KnowledgeBase(
-        lambda: HNSWVectorStore(M=8, ef_construction=32, ef_search=16), partitions=4
-    )
+    kb = KnowledgeBase(lambda: HNSWVectorStore(M=8, ef_construction=32, ef_search=16))
     kb.add_many([make_entry(f"seed-{i}", rng) for i in range(80)])
     errors: list[BaseException] = []
     done = threading.Event()
@@ -164,7 +162,7 @@ def test_hnsw_bulk_ingest_under_concurrent_retrieval():
 
 def test_per_tenant_writes_do_not_block_other_tenants_reads():
     rng = np.random.default_rng(31)
-    kb = KnowledgeBase(partitions=4)
+    kb = KnowledgeBase()
     kb.add_many([make_entry(f"a-{i}", rng) for i in range(60)], tenant="a")
     kb.add_many([make_entry(f"b-{i}", rng) for i in range(60)], tenant="b")
     errors: list[BaseException] = []

@@ -179,18 +179,18 @@ def test_cache_snapshot_uses_tenant_suffixed_keys():
 # ----------------------------------------------------------- service wiring
 def test_service_quota_rejection_and_tenant_isolation(service_stack):
     system, router, knowledge_base, llm, sqls, _labeled = service_stack
-    partitioned = KnowledgeBase(partitions=2)
-    partitioned.add_many([dataclasses.replace(e) for e in knowledge_base.entries()])
+    tenant_kb = KnowledgeBase()
+    tenant_kb.add_many([dataclasses.replace(e) for e in knowledge_base.entries()])
     svc = ExplanationService(
         system,
         router,
-        partitioned,
+        tenant_kb,
         llm,
         max_workers=2,
         max_in_flight=32,
         tenants=(TenantConfig(name="tiny", requests_per_second=0.001, burst=2.0),),
     )
-    assert svc.knowledge_base is partitioned
+    assert svc.knowledge_base is tenant_kb
     try:
         # Burst of 2, then typed QUOTA_EXCEEDED rejections (retryable).
         outcomes = [svc.explain(sqls[0], tenant="tiny") for _ in range(4)]
