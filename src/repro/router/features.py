@@ -11,17 +11,13 @@ The encoding intentionally contains only information available at EXPLAIN
 time — no execution feedback — because the router must route *before* the
 query runs.
 
-Two implementations coexist:
-
-* :meth:`PlanFeaturizer.node_features` — the original scalar path, one
-  node at a time.  Kept as the numerical reference the equivalence tests
-  check the batched path against.
-* :meth:`PlanFeaturizer.features_for_nodes` — the vectorized hot path: one
-  pass over the nodes extracts plain python scalars, then the whole
-  feature matrix is filled with a handful of array operations (one-hot by
-  index assignment, ``np.log1p`` over the stacked numeric columns, flag
-  columns gathered from per-operator lookup tables).  This is what
-  :class:`~repro.router.tensors.PlanTensor` builds from.
+:meth:`PlanFeaturizer.features_for_nodes` builds the feature matrix of many
+nodes at once: one pass over the nodes extracts plain python scalars, then
+the whole matrix is filled with a handful of array operations (one-hot by
+index assignment, ``np.log1p`` over the stacked numeric columns, flag
+columns gathered from per-operator lookup tables).  This is what
+:class:`~repro.router.tensors.PlanTensor` builds from.  The tests check it
+against a one-node-at-a-time scalar reference kept with them.
 """
 
 from __future__ import annotations
@@ -117,40 +113,14 @@ class PlanFeaturizer:
             self._row_count_cache[relation] = cached
         return max(0.0, plan_rows) if cached == _UNKNOWN_RELATION else cached
 
-    # ---------------------------------------------------------------- scalar
-    def node_features(self, node: PlanNode) -> np.ndarray:
-        """Feature vector of a single plan node (scalar reference path)."""
-        one_hot = np.zeros(len(_NODE_TYPE_ORDER), dtype=np.float64)
-        one_hot[_NODE_TYPE_INDEX[node.node_type]] = 1.0
-
-        log_rows = math.log1p(max(0.0, node.plan_rows)) / _LOG_ROWS_SCALE
-        log_cost = math.log1p(max(0.0, node.total_cost)) / _LOG_COST_SCALE
-        uses_index = 1.0 if (
-            node.index_name is not None or node.node_type in _INDEX_NODE_TYPES
-        ) else 0.0
-        is_scan = 1.0 if node.node_type in SCAN_NODE_TYPES else 0.0
-        is_join = 1.0 if node.node_type in JOIN_NODE_TYPES else 0.0
-        is_aggregate = 1.0 if node.node_type in AGGREGATE_NODE_TYPES else 0.0
-
-        table_rows = 0.0
-        if node.relation is not None:
-            table_rows = self._table_rows(node.relation, node.plan_rows)
-        log_table = math.log1p(table_rows) / _LOG_TABLE_SCALE
-
-        numeric = np.array(
-            [log_rows, log_cost, uses_index, is_scan, is_join, is_aggregate, log_table],
-            dtype=np.float64,
-        )
-        return np.concatenate([one_hot, numeric])
-
     # --------------------------------------------------------------- batched
     def features_for_nodes(self, nodes: Sequence[PlanNode]) -> np.ndarray:
         """Feature matrix ``(len(nodes), F)`` built with array operations.
 
-        Row ``i`` equals ``node_features(nodes[i])`` to float round-off: one
-        python pass extracts the raw per-node scalars, then the one-hot
-        block is filled by index assignment and the numeric block by
-        vectorized ``np.log1p`` / lookup-table gathers over the whole batch.
+        Row ``i`` is the feature vector of ``nodes[i]``: one python pass
+        extracts the raw per-node scalars, then the one-hot block is filled
+        by index assignment and the numeric block by vectorized
+        ``np.log1p`` / lookup-table gathers over the whole batch.
         """
         count = len(nodes)
         width = self.feature_size

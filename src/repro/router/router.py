@@ -70,14 +70,18 @@ class SmartRouter:
         self.training_report: TrainingReport | None = None
 
     # ------------------------------------------------------------------ train
-    def _sample_from(self, labeled: LabeledQuery) -> TrainingSample:
-        pair = labeled.execution.plan_pair
-        label = CLASS_TP if labeled.faster_engine is EngineKind.TP else CLASS_AP
-        return (
-            PlanTensor.from_plan(pair.tp_plan, self.featurizer),
-            PlanTensor.from_plan(pair.ap_plan, self.featurizer),
-            label,
-        )
+    def _tensor_pairs(self, plan_pairs: Sequence[PlanPair]) -> list[tuple[PlanTensor, PlanTensor]]:
+        """``(tp, ap)`` tensors for many plan pairs, featurized in two batched calls."""
+        tp_tensors = PlanTensor.from_plans([pair.tp_plan for pair in plan_pairs], self.featurizer)
+        ap_tensors = PlanTensor.from_plans([pair.ap_plan for pair in plan_pairs], self.featurizer)
+        return list(zip(tp_tensors, ap_tensors))
+
+    def _samples(self, labeled_queries: list[LabeledQuery]) -> list[TrainingSample]:
+        pairs = self._tensor_pairs([labeled.execution.plan_pair for labeled in labeled_queries])
+        return [
+            (tp, ap, CLASS_TP if labeled.faster_engine is EngineKind.TP else CLASS_AP)
+            for (tp, ap), labeled in zip(pairs, labeled_queries)
+        ]
 
     def fit(
         self,
@@ -88,7 +92,7 @@ class SmartRouter:
         validation_fraction: float = 0.2,
     ) -> TrainingReport:
         """Train the router on labeled executions."""
-        samples = [self._sample_from(labeled) for labeled in labeled_queries]
+        samples = self._samples(labeled_queries)
         trainer = RouterTrainer(self.model, learning_rate=learning_rate)
         self.training_report = trainer.train(
             samples, epochs=epochs, validation_fraction=validation_fraction
@@ -96,10 +100,8 @@ class SmartRouter:
         return self.training_report
 
     def accuracy(self, labeled_queries: list[LabeledQuery]) -> float:
-        """Routing accuracy on a labeled set."""
-        samples = [self._sample_from(labeled) for labeled in labeled_queries]
-        trainer = RouterTrainer(self.model)
-        return trainer.evaluate(samples)
+        """Routing accuracy on a labeled set, in one packed forward pass."""
+        return RouterTrainer(self.model).evaluate(self._samples(labeled_queries))
 
     # ------------------------------------------------------------------ route
     def route(self, plan_pair: PlanPair) -> RoutingDecision:
@@ -143,10 +145,10 @@ class SmartRouter:
 
         Returns a ``(len(plan_pairs), embedding_size)`` array whose rows match
         per-pair :meth:`embed_pair` output.  This is the path the serving
-        layer's micro-batcher drives: every node of every plan is featurized
-        in one :meth:`PlanTensor.from_plans` call, and the convolutions and
-        the dense head each run as a single stacked matmul over the whole
-        batch instead of ``N`` independent passes.
+        layer's micro-batcher drives: the TP and the AP plans are each
+        featurized in one :meth:`PlanTensor.from_plans` call, and the
+        convolutions and the dense head each run as a single matmul over
+        the whole packed batch.
 
         When ``timings`` is given, ``featurize_seconds`` and
         ``forward_seconds`` are written into it — the micro-batcher uses
@@ -154,14 +156,9 @@ class SmartRouter:
         """
         with get_tracer().span("router.embed_batch", batch_size=len(plan_pairs)) as span:
             featurize_start = time.perf_counter()
-            tp_tensors = PlanTensor.from_plans(
-                [pair.tp_plan for pair in plan_pairs], self.featurizer
-            )
-            ap_tensors = PlanTensor.from_plans(
-                [pair.ap_plan for pair in plan_pairs], self.featurizer
-            )
+            tensor_pairs = self._tensor_pairs(plan_pairs)
             forward_start = time.perf_counter()
-            embeddings = self.model.embed_pairs(list(zip(tp_tensors, ap_tensors)))
+            embeddings = self.model.embed_pairs(tensor_pairs)
             forward_end = time.perf_counter()
             featurize_seconds = forward_start - featurize_start
             forward_seconds = forward_end - forward_start

@@ -18,6 +18,10 @@ one tensor costs one array-op pipeline over all its nodes rather than ~F
 small allocations per node; :meth:`PlanTensor.from_plans` extends that to a
 whole batch of plans — every node of every plan is featurized in a single
 call, which is what ``SmartRouter.embed_batch`` drives.
+
+:meth:`PlanTensor.pack` joins many tensors into one forest that shares a
+single padding row, so the tree-CNN convolves a whole batch of plans with
+one matmul per layer, for training and inference alike.
 """
 
 from __future__ import annotations
@@ -100,6 +104,37 @@ class PlanTensor:
             left, right = _child_indices(nodes)
             tensors.append(cls(features=features, left=left, right=right))
         return tensors
+
+    @classmethod
+    def pack(cls, tensors: Sequence["PlanTensor"]) -> tuple["PlanTensor", np.ndarray]:
+        """All ``tensors`` as one forest, plus each plan's first node row.
+
+        The forest's rows ``1..N`` are every plan's real nodes in order and
+        its ``left`` / ``right`` indices are global; local child index
+        ``j >= 1`` of a plan starting at node row ``s`` becomes ``s + j``,
+        and the absent-child index 0 stays the shared padding row.  The
+        returned ``starts`` are 0-based offsets into the ``N`` node rows
+        (the segments for ``np.ufunc.reduceat``).  A lone tensor is
+        returned as it is, without a copy.
+        """
+        if len(tensors) == 1:
+            return tensors[0], np.zeros(1, dtype=np.int64)
+        counts = np.fromiter(
+            (tensor.node_count for tensor in tensors), dtype=np.int64, count=len(tensors)
+        )
+        starts = np.zeros(len(tensors), dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        features = np.zeros((int(counts.sum()) + 1, tensors[0].feature_size))
+        np.concatenate([tensor.features[1:] for tensor in tensors], out=features[1:])
+        offsets = np.repeat(starts, counts)
+        left = np.concatenate([tensor.left for tensor in tensors])
+        right = np.concatenate([tensor.right for tensor in tensors])
+        forest = cls(
+            features=features,
+            left=np.where(left > 0, left + offsets, 0),
+            right=np.where(right > 0, right + offsets, 0),
+        )
+        return forest, starts
 
     def triples(self) -> np.ndarray:
         """The ``(N, 3F)`` matrix of concatenated (node, left, right) features."""

@@ -2,9 +2,12 @@
 
 Training data is a list of ``(tp_tensor, ap_tensor, label)`` triples where
 ``label`` follows the :data:`repro.router.treecnn.CLASS_TP` /
-:data:`~repro.router.treecnn.CLASS_AP` convention.  Mini-batches accumulate
-gradients sample by sample (plans are tiny trees, so a Python loop is far
-from the bottleneck) and an Adam step is applied per batch.
+:data:`~repro.router.treecnn.CLASS_AP` convention.  Each mini-batch is one
+packed forward and backward pass
+(:meth:`~repro.router.treecnn.TreeCNNClassifier.loss_and_gradients`), and
+one Adam step updates the model's flat parameter buffer with a few vector
+operations.  Training is most of the service's set-up time, which is why
+neither step loops over samples or parameter arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.router.tensors import PlanTensor
-from repro.router.treecnn import Gradients, TreeCNNClassifier
+from repro.router.treecnn import TreeCNNClassifier
 
 
 @dataclass
@@ -28,13 +31,6 @@ class TrainingReport:
     validation_accuracy: float
     loss_history: list[float] = field(default_factory=list)
     accuracy_history: list[float] = field(default_factory=list)
-
-
-@dataclass
-class _AdamState:
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
 
 
 TrainingSample = tuple[PlanTensor, PlanTensor, int]
@@ -63,7 +59,14 @@ class RouterTrainer:
         self.epsilon = epsilon
         self.weight_decay = weight_decay
         self._rng = random.Random(seed)
-        self._adam = _AdamState()
+        self._first_moment = np.zeros_like(model.flat)
+        self._second_moment = np.zeros_like(model.flat)
+        self._step = 0
+        # Weight decay applies to the weight matrices only, not the biases.
+        self._decay = np.zeros_like(model.flat)
+        for view in model.views(self._decay).values():
+            if view.ndim > 1:
+                view[...] = weight_decay
 
     # ------------------------------------------------------------------ train
     def train(
@@ -95,16 +98,11 @@ class RouterTrainer:
             correct = 0
             for start in range(0, len(order), self.batch_size):
                 batch = [training[index] for index in order[start : start + self.batch_size]]
-                gradients = Gradients()
-                for tp_tensor, ap_tensor, label in batch:
-                    loss, probabilities = self.model.loss_and_gradients(
-                        tp_tensor, ap_tensor, label, gradients
-                    )
-                    epoch_loss += loss
-                    if int(np.argmax(probabilities)) == label:
-                        correct += 1
-                gradients.scale(1.0 / len(batch))
-                self._apply_adam(gradients)
+                losses, probabilities, gradient = self.model.loss_and_gradients(batch)
+                epoch_loss += float(losses.sum())
+                correct += _count_correct(probabilities, batch)
+                gradient *= 1.0 / len(batch)
+                self._apply_adam(gradient)
             loss_history.append(epoch_loss / len(training))
             accuracy_history.append(correct / len(training))
 
@@ -122,30 +120,28 @@ class RouterTrainer:
         """Classification accuracy over ``samples`` (1.0 for an empty list)."""
         if not samples:
             return 1.0
-        correct = 0
-        for tp_tensor, ap_tensor, label in samples:
-            probabilities = self.model.predict_proba(tp_tensor, ap_tensor)
-            if int(np.argmax(probabilities)) == label:
-                correct += 1
-        return correct / len(samples)
+        probabilities = self.model.predict_probas([(tp, ap) for tp, ap, _label in samples])
+        return _count_correct(probabilities, samples) / len(samples)
 
     # ------------------------------------------------------------------- adam
-    def _apply_adam(self, gradients: Gradients) -> None:
-        state = self._adam
-        state.step += 1
-        for name, gradient in gradients.values.items():
-            parameter = self.model.parameters[name]
-            if self.weight_decay and parameter.ndim > 1:
-                gradient = gradient + self.weight_decay * parameter
-            if name not in state.first_moment:
-                state.first_moment[name] = np.zeros_like(parameter)
-                state.second_moment[name] = np.zeros_like(parameter)
-            state.first_moment[name] = (
-                self.beta1 * state.first_moment[name] + (1.0 - self.beta1) * gradient
-            )
-            state.second_moment[name] = (
-                self.beta2 * state.second_moment[name] + (1.0 - self.beta2) * gradient**2
-            )
-            corrected_first = state.first_moment[name] / (1.0 - self.beta1**state.step)
-            corrected_second = state.second_moment[name] / (1.0 - self.beta2**state.step)
-            parameter -= self.learning_rate * corrected_first / (np.sqrt(corrected_second) + self.epsilon)
+    def _apply_adam(self, gradient: np.ndarray) -> None:
+        """One Adam step over the flat buffer (``gradient`` is overwritten)."""
+        self._step += 1
+        if self.weight_decay:
+            gradient += self._decay * self.model.flat
+        first, second = self._first_moment, self._second_moment
+        first *= self.beta1
+        first += (1.0 - self.beta1) * gradient
+        second *= self.beta2
+        second += (1.0 - self.beta2) * gradient**2
+        corrected_first = first / (1.0 - self.beta1**self._step)
+        corrected_second = second / (1.0 - self.beta2**self._step)
+        self.model.flat -= (
+            self.learning_rate * corrected_first / (np.sqrt(corrected_second) + self.epsilon)
+        )
+
+
+def _count_correct(probabilities: np.ndarray, samples: list[TrainingSample]) -> int:
+    """How many rows of ``probabilities`` put their maximum on the sample's label."""
+    labels = np.array([label for _tp, _ap, label in samples])
+    return int(np.count_nonzero(np.argmax(probabilities, axis=1) == labels))

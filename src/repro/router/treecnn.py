@@ -12,11 +12,22 @@ The output of the ``E``-dimensional layer (16 by default, as in the paper) is
 the **plan-pair embedding** stored in the knowledge base and used as the
 retrieval key.  The model is a few thousand parameters — well under the
 paper's "< 1 MB" footprint — and a single forward pass is far below 1 ms.
+
+Training and inference run the same packed pass.  All plans of a batch (the
+TP plans, then the AP plans) are joined into one forest with
+:meth:`PlanTensor.pack`, so each tree convolution is one matmul over every
+node of the batch, max pooling is one ``np.maximum.reduceat`` over the
+plans' row segments, and the dense head is one matmul over the stacked pair
+vectors.  A training step runs that pass once per mini-batch and
+backpropagates through it once; the per-sample gradients are never formed.
+
+All parameters are views into one flat float64 buffer (:attr:`flat`), so the
+Adam trainer updates the whole model with a handful of vector operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +37,8 @@ from repro.router.tensors import PlanTensor
 #: Class index convention: 0 = TP is faster, 1 = AP is faster.
 CLASS_TP = 0
 CLASS_AP = 1
+
+TensorPair = tuple[PlanTensor, PlanTensor]
 
 
 @dataclass(frozen=True)
@@ -40,73 +53,39 @@ class TreeCNNConfig:
     seed: int = 13
 
 
-@dataclass
-class _PlanCache:
-    """Intermediate activations needed for the backward pass of one plan."""
-
-    tensor: PlanTensor
-    triples1: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
-    padded1: np.ndarray
-    triples2: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray
-    argmax: np.ndarray
-    pooled: np.ndarray
-
-
-@dataclass
-class _PairCache:
-    """Intermediate activations for one plan pair."""
-
-    tp: _PlanCache
-    ap: _PlanCache
-    pair_vector: np.ndarray
-    z_hidden: np.ndarray
-    hidden: np.ndarray
-    z_embedding: np.ndarray
-    embedding: np.ndarray
-    logits: np.ndarray
-    probabilities: np.ndarray
-
-
-@dataclass
-class Gradients:
-    """Gradient accumulator keyed like the parameter dictionary."""
-
-    values: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def add(self, name: str, gradient: np.ndarray) -> None:
-        if name in self.values:
-            self.values[name] += gradient
-        else:
-            self.values[name] = gradient.copy()
-
-    def scale(self, factor: float) -> None:
-        for name in self.values:
-            self.values[name] *= factor
-
-
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _relu_grad(z: np.ndarray) -> np.ndarray:
-    return (z > 0.0).astype(np.float64)
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp)
+    """Row-wise softmax of a ``(B, 2)`` logit matrix."""
+    exp = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    return exp / np.sum(exp, axis=1, keepdims=True)
+
+
+def _segment_argmax(values: np.ndarray, starts: np.ndarray, maxima: np.ndarray) -> np.ndarray:
+    """Row of each segment's per-column maximum, as ``np.argmax`` picks it.
+
+    ``maxima`` is ``np.maximum.reduceat(values, starts)``; on ties the first
+    row of the segment wins, so the result is exactly a per-segment argmax.
+    """
+    rows = values.shape[0]
+    segment = np.repeat(np.arange(len(starts)), np.diff(starts, append=rows))
+    hits = np.where(values == maxima[segment], np.arange(rows)[:, None], rows)
+    return np.minimum.reduceat(hits, starts, axis=0)
+
+
+def _plans(pairs: Sequence[tuple]) -> list[PlanTensor]:
+    """The TP plans of ``pairs``, then their AP plans (the packed row order)."""
+    return [pair[0] for pair in pairs] + [pair[1] for pair in pairs]
 
 
 class TreeCNNClassifier:
     """The smart router's model: classify which engine is faster.
 
-    All parameters live in :attr:`parameters`, a flat ``name -> ndarray``
-    dictionary, which keeps the Adam trainer and (de)serialisation trivial.
+    :attr:`parameters` maps each name to an array that is a view into
+    :attr:`flat`; writing a parameter in place writes the buffer, and
+    :meth:`views` lays any vector of the same length out the same way.
     """
 
     def __init__(self, config: TreeCNNConfig):
@@ -115,7 +94,7 @@ class TreeCNNClassifier:
         feature_size = config.feature_size
         c1, c2 = config.conv1_channels, config.conv2_channels
         hidden, embedding = config.head_hidden, config.embedding_size
-        self.parameters: dict[str, np.ndarray] = {
+        initial = {
             "conv1_w": _glorot(rng, 3 * feature_size, c1),
             "conv1_b": np.zeros(c1),
             "conv2_w": _glorot(rng, 3 * c1, c2),
@@ -127,187 +106,130 @@ class TreeCNNClassifier:
             "out_w": _glorot(rng, embedding, 2),
             "out_b": np.zeros(2),
         }
+        self._layout: list[tuple[str, slice, tuple[int, ...]]] = []
+        offset = 0
+        for name, array in initial.items():
+            self._layout.append((name, slice(offset, offset + array.size), array.shape))
+            offset += array.size
+        self.flat = np.concatenate([array.ravel() for array in initial.values()])
+        self.parameters: dict[str, np.ndarray] = self.views(self.flat)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """``name -> array`` views into ``vector``, laid out like :attr:`flat`."""
+        return {name: vector[span].reshape(shape) for name, span, shape in self._layout}
 
     # --------------------------------------------------------------- forward
-    def _forward_plan(self, tensor: PlanTensor) -> _PlanCache:
-        parameters = self.parameters
-        triples1 = tensor.triples()
-        z1 = triples1 @ parameters["conv1_w"] + parameters["conv1_b"]
-        a1 = _relu(z1)
-        padded1 = np.zeros((tensor.node_count + 1, self.config.conv1_channels))
-        padded1[1:] = a1
-        triples2 = np.concatenate(
-            [padded1[1:], padded1[tensor.left], padded1[tensor.right]], axis=1
-        )
-        z2 = triples2 @ parameters["conv2_w"] + parameters["conv2_b"]
-        a2 = _relu(z2)
-        argmax = np.argmax(a2, axis=0)
-        pooled = a2[argmax, np.arange(a2.shape[1])]
-        return _PlanCache(
-            tensor=tensor,
-            triples1=triples1,
-            z1=z1,
-            a1=a1,
-            padded1=padded1,
-            triples2=triples2,
-            z2=z2,
-            a2=a2,
-            argmax=argmax,
-            pooled=pooled,
-        )
+    def _convolve(self, tensors: Sequence[PlanTensor]):
+        """Both tree convolutions over ``tensors`` packed into one forest.
 
-    def forward_pair(self, tp_tensor: PlanTensor, ap_tensor: PlanTensor) -> _PairCache:
-        """Full forward pass over a TP/AP plan-pair."""
+        Returns ``(a2, starts, forest, triples1, a1, triples2)``; inference
+        only pools ``a2`` over the ``starts`` segments, training
+        backpropagates through all of it.
+        """
         parameters = self.parameters
-        tp_cache = self._forward_plan(tp_tensor)
-        ap_cache = self._forward_plan(ap_tensor)
-        pair_vector = np.concatenate([tp_cache.pooled, ap_cache.pooled])
-        z_hidden = pair_vector @ parameters["head_w"] + parameters["head_b"]
-        hidden = _relu(z_hidden)
-        z_embedding = hidden @ parameters["embed_w"] + parameters["embed_b"]
-        embedding = _relu(z_embedding)
-        logits = embedding @ parameters["out_w"] + parameters["out_b"]
-        probabilities = _softmax(logits)
-        return _PairCache(
-            tp=tp_cache,
-            ap=ap_cache,
-            pair_vector=pair_vector,
-            z_hidden=z_hidden,
-            hidden=hidden,
-            z_embedding=z_embedding,
-            embedding=embedding,
-            logits=logits,
-            probabilities=probabilities,
-        )
+        forest, starts = PlanTensor.pack(tensors)
+        triples1 = forest.triples()
+        a1 = _relu(triples1 @ parameters["conv1_w"] + parameters["conv1_b"])
+        padded1 = np.zeros((forest.node_count + 1, self.config.conv1_channels))
+        padded1[1:] = a1
+        triples2 = np.concatenate([a1, padded1[forest.left], padded1[forest.right]], axis=1)
+        a2 = _relu(triples2 @ parameters["conv2_w"] + parameters["conv2_b"])
+        return a2, starts, forest, triples1, a1, triples2
+
+    def _head(self, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pair_vectors, hidden, embedding)`` for pooled TP rows then AP rows."""
+        parameters = self.parameters
+        count = pooled.shape[0] // 2
+        pair_vectors = np.concatenate([pooled[:count], pooled[count:]], axis=1)
+        hidden = _relu(pair_vectors @ parameters["head_w"] + parameters["head_b"])
+        embedding = _relu(hidden @ parameters["embed_w"] + parameters["embed_b"])
+        return pair_vectors, hidden, embedding
 
     # ------------------------------------------------------------- inference
-    def predict_proba(self, tp_tensor: PlanTensor, ap_tensor: PlanTensor) -> np.ndarray:
-        """Probabilities ``[P(TP faster), P(AP faster)]``."""
-        return self.forward_pair(tp_tensor, ap_tensor).probabilities
-
-    def embed_pair(self, tp_tensor: PlanTensor, ap_tensor: PlanTensor) -> np.ndarray:
-        """The 16-dim plan-pair embedding (penultimate layer activations)."""
-        return self.forward_pair(tp_tensor, ap_tensor).embedding.copy()
-
-    # ------------------------------------------------------------- batched
-    def _pooled_batch(self, tensors: Sequence[PlanTensor]) -> np.ndarray:
-        """Max-pooled conv outputs for many plans in one stacked forward pass.
-
-        All plans' node rows are concatenated into a single matrix (row 0 is
-        the shared zero padding node), child indices are shifted into the
-        global row space, and each convolution becomes one matmul over the
-        whole batch.  Pooling then reduces each plan's own row segment, so
-        the result is numerically the per-plan ``_forward_plan`` pooling.
-        """
-        parameters = self.parameters
-        counts = np.array([tensor.node_count for tensor in tensors], dtype=np.int64)
-        total = int(counts.sum())
-        starts = np.zeros(len(tensors), dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        node_features = np.zeros((total + 1, self.config.feature_size))
-        node_features[1:] = np.concatenate([tensor.features[1:] for tensor in tensors], axis=0)
-        # Local child index j >= 1 lives at global row start + j; the local
-        # padding index 0 maps to the shared global padding row 0.
-        offsets = np.repeat(starts, counts)
-        local_left = np.concatenate([tensor.left for tensor in tensors])
-        local_right = np.concatenate([tensor.right for tensor in tensors])
-        left = np.where(local_left > 0, local_left + offsets, 0)
-        right = np.where(local_right > 0, local_right + offsets, 0)
-        triples1 = np.concatenate(
-            [node_features[1:], node_features[left], node_features[right]], axis=1
-        )
-        a1 = _relu(triples1 @ parameters["conv1_w"] + parameters["conv1_b"])
-        padded1 = np.zeros((total + 1, self.config.conv1_channels))
-        padded1[1:] = a1
-        triples2 = np.concatenate([a1, padded1[left], padded1[right]], axis=1)
-        a2 = _relu(triples2 @ parameters["conv2_w"] + parameters["conv2_b"])
-        return np.maximum.reduceat(a2, starts, axis=0)
-
-    def embed_pairs(self, pairs: Sequence[tuple[PlanTensor, PlanTensor]]) -> np.ndarray:
-        """Batched :meth:`embed_pair`: one ``(B, E)`` array, one forward pass.
-
-        The dense head runs as a single matmul over the stacked pair vectors;
-        results match per-pair :meth:`embed_pair` to float64 round-off.
-        """
+    def embed_pairs(self, pairs: Sequence[TensorPair]) -> np.ndarray:
+        """``(B, E)`` plan-pair embeddings (penultimate layer) in one packed pass."""
         if not pairs:
             return np.zeros((0, self.config.embedding_size))
-        parameters = self.parameters
-        tp_pooled = self._pooled_batch([tp for tp, _ap in pairs])
-        ap_pooled = self._pooled_batch([ap for _tp, ap in pairs])
-        pair_vectors = np.concatenate([tp_pooled, ap_pooled], axis=1)
-        hidden = _relu(pair_vectors @ parameters["head_w"] + parameters["head_b"])
-        return _relu(hidden @ parameters["embed_w"] + parameters["embed_b"])
+        a2, starts, *_ = self._convolve(_plans(pairs))
+        return self._head(np.maximum.reduceat(a2, starts, axis=0))[2]
 
-    # -------------------------------------------------------------- backward
+    def embed_pair(self, tp_tensor: PlanTensor, ap_tensor: PlanTensor) -> np.ndarray:
+        """The 16-dim plan-pair embedding of one pair."""
+        return self.embed_pairs([(tp_tensor, ap_tensor)])[0]
+
+    def predict_probas(self, pairs: Sequence[TensorPair]) -> np.ndarray:
+        """``(B, 2)`` probabilities ``[P(TP faster), P(AP faster)]`` per pair."""
+        parameters = self.parameters
+        return _softmax(self.embed_pairs(pairs) @ parameters["out_w"] + parameters["out_b"])
+
+    def predict_proba(self, tp_tensor: PlanTensor, ap_tensor: PlanTensor) -> np.ndarray:
+        """Probabilities ``[P(TP faster), P(AP faster)]`` of one pair."""
+        return self.predict_probas([(tp_tensor, ap_tensor)])[0]
+
+    # -------------------------------------------------------------- training
     def loss_and_gradients(
-        self,
-        tp_tensor: PlanTensor,
-        ap_tensor: PlanTensor,
-        label: int,
-        gradients: Gradients,
-    ) -> tuple[float, np.ndarray]:
-        """Cross-entropy loss for one pair; accumulates gradients in place.
+        self, samples: Sequence[tuple[PlanTensor, PlanTensor, int]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cross-entropy of a mini-batch of ``(tp, ap, label)`` triples.
 
-        Returns ``(loss, probabilities)``.
+        Returns ``(losses, probabilities, gradient)``: the ``(B,)``
+        per-sample losses, the ``(B, 2)`` probabilities, and the gradient
+        of the *summed* loss as one vector laid out like :attr:`flat`.
         """
-        if label not in (CLASS_TP, CLASS_AP):
-            raise ValueError(f"label must be {CLASS_TP} or {CLASS_AP}, got {label}")
-        cache = self.forward_pair(tp_tensor, ap_tensor)
-        probabilities = cache.probabilities
-        loss = -float(np.log(max(probabilities[label], 1e-12)))
-
+        bad = [label for _tp, _ap, label in samples if label not in (CLASS_TP, CLASS_AP)]
+        if bad:
+            raise ValueError(f"label must be {CLASS_TP} or {CLASS_AP}, got {bad[0]}")
         parameters = self.parameters
+        batch = np.arange(len(samples))
+        labels = np.array([label for _tp, _ap, label in samples], dtype=np.int64)
+
+        a2, starts, forest, triples1, a1, triples2 = self._convolve(_plans(samples))
+        pooled = np.maximum.reduceat(a2, starts, axis=0)
+        argmax = _segment_argmax(a2, starts, pooled)
+        pair_vectors, hidden, embedding = self._head(pooled)
+        probabilities = _softmax(embedding @ parameters["out_w"] + parameters["out_b"])
+        losses = -np.log(np.maximum(probabilities[batch, labels], 1e-12))
+
+        gradient = np.empty_like(self.flat)
+        grads = self.views(gradient)
         d_logits = probabilities.copy()
-        d_logits[label] -= 1.0
-
-        gradients.add("out_w", np.outer(cache.embedding, d_logits))
-        gradients.add("out_b", d_logits)
-        d_embedding = d_logits @ parameters["out_w"].T
-        d_z_embedding = d_embedding * _relu_grad(cache.z_embedding)
-
-        gradients.add("embed_w", np.outer(cache.hidden, d_z_embedding))
-        gradients.add("embed_b", d_z_embedding)
-        d_hidden = d_z_embedding @ parameters["embed_w"].T
-        d_z_hidden = d_hidden * _relu_grad(cache.z_hidden)
-
-        gradients.add("head_w", np.outer(cache.pair_vector, d_z_hidden))
-        gradients.add("head_b", d_z_hidden)
+        d_logits[batch, labels] -= 1.0
+        np.matmul(embedding.T, d_logits, out=grads["out_w"])
+        d_logits.sum(axis=0, out=grads["out_b"])
+        d_z_embedding = (d_logits @ parameters["out_w"].T) * (embedding > 0.0)
+        np.matmul(hidden.T, d_z_embedding, out=grads["embed_w"])
+        d_z_embedding.sum(axis=0, out=grads["embed_b"])
+        d_z_hidden = (d_z_embedding @ parameters["embed_w"].T) * (hidden > 0.0)
+        np.matmul(pair_vectors.T, d_z_hidden, out=grads["head_w"])
+        d_z_hidden.sum(axis=0, out=grads["head_b"])
         d_pair = d_z_hidden @ parameters["head_w"].T
 
-        c2 = self.config.conv2_channels
-        self._backward_plan(cache.tp, d_pair[:c2], gradients)
-        self._backward_plan(cache.ap, d_pair[c2:], gradients)
-        return loss, probabilities
-
-    def _backward_plan(self, cache: _PlanCache, d_pooled: np.ndarray, gradients: Gradients) -> None:
-        parameters = self.parameters
-        d_a2 = np.zeros_like(cache.a2)
-        d_a2[cache.argmax, np.arange(cache.a2.shape[1])] = d_pooled
-        d_z2 = d_a2 * _relu_grad(cache.z2)
-        gradients.add("conv2_w", cache.triples2.T @ d_z2)
-        gradients.add("conv2_b", d_z2.sum(axis=0))
+        c1, c2 = self.config.conv1_channels, self.config.conv2_channels
+        d_z2 = np.zeros_like(a2)
+        d_z2[argmax, np.arange(c2)] = np.concatenate([d_pair[:, :c2], d_pair[:, c2:]], axis=0)
+        d_z2 *= a2 > 0.0
+        np.matmul(triples2.T, d_z2, out=grads["conv2_w"])
+        d_z2.sum(axis=0, out=grads["conv2_b"])
         d_triples2 = d_z2 @ parameters["conv2_w"].T
 
-        c1 = self.config.conv1_channels
-        d_node = d_triples2[:, :c1]
-        d_left = d_triples2[:, c1 : 2 * c1]
-        d_right = d_triples2[:, 2 * c1 :]
-        d_padded1 = np.zeros_like(cache.padded1)
-        d_padded1[1:] += d_node
-        np.add.at(d_padded1, cache.tensor.left, d_left)
-        np.add.at(d_padded1, cache.tensor.right, d_right)
-        d_a1 = d_padded1[1:]
-        d_z1 = d_a1 * _relu_grad(cache.z1)
-        gradients.add("conv1_w", cache.triples1.T @ d_z1)
-        gradients.add("conv1_b", d_z1.sum(axis=0))
+        d_z1 = d_triples2[:, :c1].copy()
+        # Every node has at most one parent, so the non-zero child indices
+        # are unique and a fancy-indexed += is exact (no np.add.at needed).
+        for slot, children in ((1, forest.left), (2, forest.right)):
+            has_child = children > 0
+            d_z1[children[has_child] - 1] += d_triples2[has_child, slot * c1 : (slot + 1) * c1]
+        d_z1 *= a1 > 0.0
+        np.matmul(triples1.T, d_z1, out=grads["conv1_w"])
+        d_z1.sum(axis=0, out=grads["conv1_b"])
+        return losses, probabilities, gradient
 
     # ----------------------------------------------------------- persistence
     def parameter_count(self) -> int:
-        return int(sum(array.size for array in self.parameters.values()))
+        return int(self.flat.size)
 
     def model_size_bytes(self) -> int:
         """Serialised size of the parameters (float64), for the <1 MB claim."""
-        return int(sum(array.nbytes for array in self.parameters.values()))
+        return int(self.flat.nbytes)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: array.copy() for name, array in self.parameters.items()}
@@ -321,7 +243,7 @@ class TreeCNNClassifier:
                     f"shape mismatch for {name!r}: "
                     f"{self.parameters[name].shape} vs {array.shape}"
                 )
-            self.parameters[name] = array.copy()
+            self.parameters[name][...] = array
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -6,7 +6,8 @@ import pytest
 from repro.htap.plan.nodes import NodeType, PlanNode
 from repro.router.features import PlanFeaturizer, structural_embedding
 from repro.router.tensors import PlanTensor
-from repro.router.treecnn import CLASS_AP, CLASS_TP, Gradients, TreeCNNClassifier, TreeCNNConfig
+from repro.router.treecnn import CLASS_AP, CLASS_TP, TreeCNNClassifier, TreeCNNConfig
+from router_reference import scalar_node_features
 
 
 def _plan() -> PlanNode:
@@ -17,10 +18,28 @@ def _plan() -> PlanNode:
     return PlanNode(NodeType.AGGREGATE, total_cost=25.0, plan_rows=1.0, children=[join])
 
 
+def _sized_plans() -> list[PlanNode]:
+    """Three plans with 5, 3 and 1 nodes."""
+    scan = PlanNode(NodeType.TABLE_SCAN, total_cost=3.0, plan_rows=500.0, relation="lineitem")
+    sort = PlanNode(
+        NodeType.SORT, total_cost=9.0, plan_rows=50.0,
+        children=[PlanNode(NodeType.FILTER, total_cost=6.0, plan_rows=50.0, children=[scan])],
+    )
+    lone = PlanNode(NodeType.INDEX_SCAN, total_cost=0.5, plan_rows=2.0, relation="nation", index_name="pk_nation")
+    return [_plan(), sort, lone]
+
+
 # ---------------------------------------------------------------- features
+def _node_vector(featurizer: PlanFeaturizer, node: PlanNode) -> np.ndarray:
+    """The featurizer's row for ``node``, checked against the scalar oracle."""
+    vector = featurizer.features_for_nodes([node])[0]
+    np.testing.assert_allclose(vector, scalar_node_features(featurizer, node), rtol=0.0, atol=1e-12)
+    return vector
+
+
 def test_feature_vector_width_and_onehot(catalog):
     featurizer = PlanFeaturizer(catalog)
-    vector = featurizer.node_features(_plan())
+    vector = _node_vector(featurizer, _plan())
     assert vector.shape == (featurizer.feature_size,)
     one_hot = vector[: len(list(NodeType))]
     assert one_hot.sum() == pytest.approx(1.0)
@@ -30,13 +49,13 @@ def test_index_and_role_flags(catalog):
     featurizer = PlanFeaturizer(catalog)
     plan = _plan()
     index_scan = plan.find_all(NodeType.INDEX_SCAN)[0]
-    vector = featurizer.node_features(index_scan)
+    vector = _node_vector(featurizer, index_scan)
     # Last 7 features: log_rows, log_cost, uses_index, is_scan, is_join, is_agg, log_table.
     tail = vector[-7:]
     assert tail[2] == 1.0  # uses_index
     assert tail[3] == 1.0  # is_scan
     assert tail[4] == 0.0  # is_join
-    join_vector = featurizer.node_features(plan.find_all(NodeType.HASH_JOIN)[0])
+    join_vector = _node_vector(featurizer, plan.find_all(NodeType.HASH_JOIN)[0])
     assert join_vector[-7:][4] == 1.0
 
 
@@ -50,7 +69,7 @@ def test_features_bounded(catalog):
 
 def test_featurizer_without_catalog_falls_back_to_plan_rows():
     featurizer = PlanFeaturizer(None)
-    vector = featurizer.node_features(_plan().find_all(NodeType.TABLE_SCAN)[0])
+    vector = _node_vector(featurizer, _plan().find_all(NodeType.TABLE_SCAN)[0])
     assert vector[-1] > 0.0
 
 
@@ -112,47 +131,54 @@ def test_embedding_shape_and_nonnegativity(small_model):
 def test_loss_decreases_with_gradient_steps(small_model):
     featurizer, model = small_model
     tensor = PlanTensor.from_plan(_plan(), featurizer)
-    label = CLASS_AP
+    sample = [(tensor, tensor, CLASS_AP)]
     first_loss = None
     for _step in range(30):
-        gradients = Gradients()
-        loss, _ = model.loss_and_gradients(tensor, tensor, label, gradients)
+        losses, _, gradient = model.loss_and_gradients(sample)
         if first_loss is None:
-            first_loss = loss
-        for name, gradient in gradients.values.items():
-            model.parameters[name] -= 0.05 * gradient
-    final_loss, _ = model.loss_and_gradients(tensor, tensor, label, Gradients())
-    assert final_loss < first_loss
+            first_loss = losses[0]
+        model.flat -= 0.05 * gradient
+    final_losses, _, _ = model.loss_and_gradients(sample)
+    assert final_losses[0] < first_loss
 
 
 def test_numerical_gradient_check(small_model):
-    """Backprop gradients match finite differences on a few parameters."""
+    """Backprop gradients match finite differences in every parameter array.
+
+    The batch mixes three pair shapes, so the check covers the packed
+    forest's index shifting, segment pooling and child scatter.
+    """
     featurizer, model = small_model
-    tensor = PlanTensor.from_plan(_plan(), featurizer)
-    gradients = Gradients()
-    model.loss_and_gradients(tensor, tensor, CLASS_TP, gradients)
+    tensors = [PlanTensor.from_plan(plan, featurizer) for plan in _sized_plans()]
+    batch = [
+        (tensors[0], tensors[1], CLASS_TP),
+        (tensors[2], tensors[0], CLASS_AP),
+        (tensors[1], tensors[2], CLASS_AP),
+    ]
+    _, _, gradient = model.loss_and_gradients(batch)
+    gradients = model.views(gradient)
     rng = np.random.default_rng(0)
-    for name in ("out_w", "embed_w", "conv2_w", "conv1_w"):
-        parameter = model.parameters[name]
-        flat_index = rng.integers(0, parameter.size)
-        index = np.unravel_index(flat_index, parameter.shape)
-        epsilon = 1e-6
-        original = parameter[index]
-        parameter[index] = original + epsilon
-        loss_plus, _ = model.loss_and_gradients(tensor, tensor, CLASS_TP, Gradients())
-        parameter[index] = original - epsilon
-        loss_minus, _ = model.loss_and_gradients(tensor, tensor, CLASS_TP, Gradients())
-        parameter[index] = original
-        numeric = (loss_plus - loss_minus) / (2 * epsilon)
-        analytic = gradients.values[name][index]
-        assert analytic == pytest.approx(numeric, rel=0.05, abs=1e-6)
+    epsilon = 1e-6
+    for name, parameter in model.parameters.items():
+        for flat_index in rng.choice(parameter.size, size=min(3, parameter.size), replace=False):
+            index = np.unravel_index(flat_index, parameter.shape)
+            original = parameter[index]
+            parameter[index] = original + epsilon
+            loss_plus = model.loss_and_gradients(batch)[0].sum()
+            parameter[index] = original - epsilon
+            loss_minus = model.loss_and_gradients(batch)[0].sum()
+            parameter[index] = original
+            numeric = (loss_plus - loss_minus) / (2 * epsilon)
+            assert gradients[name][index] == pytest.approx(numeric, rel=0.05, abs=1e-6), name
 
 
 def test_invalid_label_rejected(small_model):
     featurizer, model = small_model
     tensor = PlanTensor.from_plan(_plan(), featurizer)
     with pytest.raises(ValueError):
-        model.loss_and_gradients(tensor, tensor, 5, Gradients())
+        model.loss_and_gradients([(tensor, tensor, 5)])
+    with pytest.raises(ValueError, match="got -1"):
+        model.loss_and_gradients([(tensor, tensor, CLASS_TP), (tensor, tensor, -1)])
 
 
 def test_state_dict_roundtrip(small_model):

@@ -1,8 +1,8 @@
 """Equivalence and memoization tests for the vectorized featurization path.
 
 The batched :meth:`PlanFeaturizer.features_for_nodes` must be numerically
-interchangeable with the scalar :meth:`PlanFeaturizer.node_features`
-reference on every plan the workload generator can produce — not just
+interchangeable with the scalar ``scalar_node_features`` reference (kept in
+``router_reference``) on every plan the workload generator can produce — not just
 hand-built trees — because the router's embeddings (and hence the KB's
 retrieval geometry) are defined by the scalar semantics.
 """
@@ -14,6 +14,7 @@ from repro.htap.catalog import Catalog
 from repro.htap.plan.nodes import NodeType, PlanNode
 from repro.router.features import PlanFeaturizer
 from repro.router.tensors import PlanTensor
+from router_reference import scalar_node_features
 
 
 def _workload_plans(labeled_workload) -> list[PlanNode]:
@@ -32,7 +33,7 @@ def test_batched_features_match_scalar_on_every_workload_plan(catalog, labeled_w
     for plan in plans:
         nodes = list(plan.walk())
         batched = featurizer.features_for_nodes(nodes)
-        scalar = np.stack([featurizer.node_features(node) for node in nodes])
+        scalar = np.stack([scalar_node_features(featurizer, node) for node in nodes])
         np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=1e-12)
 
 
@@ -41,7 +42,7 @@ def test_batched_features_match_scalar_without_catalog(labeled_workload):
     for plan in _workload_plans(labeled_workload)[:10]:
         nodes = list(plan.walk())
         batched = featurizer.features_for_nodes(nodes)
-        scalar = np.stack([featurizer.node_features(node) for node in nodes])
+        scalar = np.stack([scalar_node_features(featurizer, node) for node in nodes])
         np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=1e-12)
 
 
@@ -96,7 +97,7 @@ def test_row_count_memoized_per_relation(catalog):
     featurizer.features_for_nodes(nodes)
     assert counting.row_count_calls == 2  # one per distinct relation
     featurizer.features_for_nodes(nodes)
-    featurizer.node_features(nodes[0])
+    scalar_node_features(featurizer, nodes[0])
     assert counting.row_count_calls == 2  # later passes hit the memo
 
 
@@ -116,8 +117,8 @@ def test_unknown_relation_memoized_and_falls_back_to_plan_rows(catalog):
     stranger = PlanNode(
         NodeType.TABLE_SCAN, total_cost=1.0, plan_rows=42.0, relation="no_such_table"
     )
-    first = featurizer.node_features(stranger)
-    second = featurizer.node_features(stranger)
+    first = featurizer.features_for_nodes([stranger])[0]
+    second = scalar_node_features(featurizer, stranger)
     np.testing.assert_array_equal(first, second)
     assert counting.row_count_calls == 0  # never resolved through the catalog
     assert counting.has_table_calls == 1  # the miss itself is memoized
