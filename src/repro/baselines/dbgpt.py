@@ -24,7 +24,6 @@ from typing import Any
 from repro.explainer.timing import LatencyProfile
 from repro.htap.engines.base import EngineKind
 from repro.htap.plan.diff import diff_plans
-from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.system import HTAPSystem, PlanPair, QueryExecution
 from repro.llm.client import LLMClient, LLMRequest, LLMResponse
 from repro.llm.prompts import PromptBuilder, QuestionAttachment
@@ -83,13 +82,7 @@ class DBGPTExplainer:
 
     def explain_plan_pair(self, plan_pair: PlanPair) -> BaselineExplanation:
         diff = diff_plans(plan_pair.tp_plan, plan_pair.ap_plan)
-        question = QuestionAttachment(
-            sql=plan_pair.query.raw_sql,
-            tp_plan=plan_to_dict(plan_pair.tp_plan),
-            ap_plan=plan_to_dict(plan_pair.ap_plan),
-            execution_result=None,
-            faster_engine=None,
-        )
+        question = QuestionAttachment.from_plan_pair(plan_pair)
         prompt_text = "\n\n".join(
             [
                 self.prompt_builder.background_section(),

@@ -11,9 +11,9 @@ contribution of retrieval from the contribution of prompt engineering.
 from __future__ import annotations
 
 from repro.baselines.dbgpt import BaselineExplanation
+from repro.explainer.pipeline import execution_result_text
 from repro.explainer.timing import LatencyProfile
 from repro.htap.engines.base import EngineKind
-from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.system import HTAPSystem, QueryExecution
 from repro.llm.client import LLMClient, LLMRequest
 from repro.llm.prompts import PromptBuilder, QuestionAttachment
@@ -31,17 +31,9 @@ class NoRagExplainer:
 
     def explain_execution(self, execution: QueryExecution, *, user_notes: str | None = None) -> BaselineExplanation:
         """Explain an executed query without any retrieved knowledge."""
-        plan_pair = execution.plan_pair
-        result_text = (
-            f"{execution.faster_engine.value} was faster "
-            f"(TP {execution.tp_result.latency_seconds:.3f}s vs "
-            f"AP {execution.ap_result.latency_seconds:.3f}s)"
-        )
-        question = QuestionAttachment(
-            sql=plan_pair.query.raw_sql,
-            tp_plan=plan_to_dict(plan_pair.tp_plan),
-            ap_plan=plan_to_dict(plan_pair.ap_plan),
-            execution_result=result_text,
+        question = QuestionAttachment.from_plan_pair(
+            execution.plan_pair,
+            execution_result=execution_result_text(execution),
             faster_engine=execution.faster_engine,
         )
         prompt = self.prompt_builder.build(question, knowledge=[], user_notes=user_notes)
@@ -49,7 +41,7 @@ class NoRagExplainer:
         winner_value = response.claims.get("winner")
         claimed_winner = EngineKind(winner_value) if winner_value in ("TP", "AP") else None
         return BaselineExplanation(
-            sql=plan_pair.query.raw_sql,
+            sql=question.sql,
             text=response.text,
             claimed_winner=claimed_winner,
             claims=dict(response.claims),

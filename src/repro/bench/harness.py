@@ -402,14 +402,7 @@ def answer_question_stub(labeled: LabeledQuery):
     """Question attachment for wrapping baseline answers (grading only)."""
     from repro.llm.prompts import QuestionAttachment
 
-    execution = labeled.execution
-    return QuestionAttachment(
-        sql=labeled.sql,
-        tp_plan=plan_to_dict(execution.plan_pair.tp_plan),
-        ap_plan=plan_to_dict(execution.plan_pair.ap_plan),
-        execution_result=None,
-        faster_engine=None,
-    )
+    return QuestionAttachment.from_plan_pair(labeled.execution.plan_pair)
 
 
 def _fake_response(answer):

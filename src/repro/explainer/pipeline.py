@@ -114,8 +114,9 @@ class RagExplainer:
 
     The pipeline is decomposed into three reusable stages —
     :meth:`encode_stage`, :meth:`retrieve_stage`, :meth:`generate_stage` —
-    so callers that already hold an embedding (the serving layer's plan
-    cache and micro-batcher) can skip straight to retrieval and generation.
+    so callers that already hold an embedding and a QUESTION block (the
+    serving layer's L2 plan cache and micro-batcher) can skip straight to
+    retrieval and generation without keeping the plan trees around.
     """
 
     def __init__(
@@ -153,10 +154,9 @@ class RagExplainer:
         user_notes: str | None = None,
     ) -> Explanation:
         """Explain an already-executed query (both plans and latencies known)."""
-        result_text = execution_result_text(execution)
         return self._explain(
             execution.plan_pair,
-            execution_result=result_text,
+            execution_result=execution_result_text(execution),
             faster_engine=execution.faster_engine,
             user_notes=user_notes,
         )
@@ -195,69 +195,46 @@ class RagExplainer:
 
     def generate_stage(
         self,
-        plan_pair: PlanPair,
+        question: QuestionAttachment,
         embedding: np.ndarray,
         retrieval: RetrievalResult,
         *,
         encode_seconds: float = 0.0,
-        execution_result: str | None = None,
-        faster_engine: EngineKind | None = None,
         user_notes: str | None = None,
     ) -> Explanation:
-        """Stage 3: assemble the prompt, call the LLM, package the result."""
-        with get_tracer().span("pipeline.generate", retrieved=len(retrieval.hits)):
-            return self._generate(
-                plan_pair,
-                embedding,
-                retrieval,
-                encode_seconds=encode_seconds,
-                execution_result=execution_result,
-                faster_engine=faster_engine,
-                user_notes=user_notes,
-            )
+        """Stage 3: assemble the prompt, call the LLM, package the result.
 
-    def _generate(
-        self,
-        plan_pair: PlanPair,
-        embedding: np.ndarray,
-        retrieval: RetrievalResult,
-        *,
-        encode_seconds: float,
-        execution_result: str | None,
-        faster_engine: EngineKind | None,
-        user_notes: str | None,
-    ) -> Explanation:
-        knowledge_attachments = [
-            KnowledgeAttachment.from_entry(hit.entry, similarity=hit.similarity)
-            for hit in retrieval.hits
-        ]
-        question = QuestionAttachment(
-            sql=plan_pair.query.raw_sql,
-            tp_plan=plan_to_dict(plan_pair.tp_plan),
-            ap_plan=plan_to_dict(plan_pair.ap_plan),
-            execution_result=execution_result,
-            faster_engine=faster_engine,
-        )
-        prompt = self.prompt_builder.build(question, knowledge_attachments, user_notes=user_notes)
-        request = LLMRequest(prompt=prompt.text, attachments=prompt.attachments())
-        response = self.llm.generate_traced(request)
-        latency = LatencyProfile(
-            encode_seconds=encode_seconds,
-            search_seconds=retrieval.search_seconds,
-            llm_thinking_seconds=response.thinking_seconds,
-            llm_generation_seconds=response.generation_seconds,
-        )
-        return Explanation(
-            sql=plan_pair.query.raw_sql,
-            text=response.text,
-            faster_engine=faster_engine,
-            retrieved=retrieval.hits,
-            prompt=prompt,
-            response=response,
-            latency=latency,
-            embedding=embedding,
-            claims=dict(response.claims),
-        )
+        ``question`` is the query's QUESTION block, built once per plan
+        pair by :meth:`QuestionAttachment.from_plan_pair`; the explanation
+        keeps a reference to it (``prompt.question``) instead of a copy.
+        """
+        with get_tracer().span("pipeline.generate", retrieved=len(retrieval.hits)):
+            knowledge_attachments = [
+                KnowledgeAttachment.from_entry(hit.entry, similarity=hit.similarity)
+                for hit in retrieval.hits
+            ]
+            prompt = self.prompt_builder.build(
+                question, knowledge_attachments, user_notes=user_notes
+            )
+            request = LLMRequest(prompt=prompt.text, attachments=prompt.attachments())
+            response = self.llm.generate_traced(request)
+            latency = LatencyProfile(
+                encode_seconds=encode_seconds,
+                search_seconds=retrieval.search_seconds,
+                llm_thinking_seconds=response.thinking_seconds,
+                llm_generation_seconds=response.generation_seconds,
+            )
+            return Explanation(
+                sql=question.sql,
+                text=response.text,
+                faster_engine=question.faster_engine,
+                retrieved=retrieval.hits,
+                prompt=prompt,
+                response=response,
+                latency=latency,
+                embedding=embedding,
+                claims=dict(response.claims),
+            )
 
     # --------------------------------------------------------------- internals
     def _explain(
@@ -268,14 +245,15 @@ class RagExplainer:
         faster_engine: EngineKind | None,
         user_notes: str | None,
     ) -> Explanation:
+        question = QuestionAttachment.from_plan_pair(
+            plan_pair, execution_result=execution_result, faster_engine=faster_engine
+        )
         embedding, encode_seconds = self.encode_stage(plan_pair)
         retrieval = self.retrieve_stage(embedding)
         return self.generate_stage(
-            plan_pair,
+            question,
             embedding,
             retrieval,
             encode_seconds=encode_seconds,
-            execution_result=execution_result,
-            faster_engine=faster_engine,
             user_notes=user_notes,
         )

@@ -73,14 +73,18 @@ class LLMClient(abc.ABC):
     def generate_traced(self, request: LLMRequest) -> LLMResponse:
         """:meth:`generate` inside an ``llm.generate`` span.
 
-        The span is a no-op unless a request trace is open, so backends
-        stay free to call plain :meth:`generate` from anywhere.
+        The span carries the response's *modeled* ``thinking_seconds`` and
+        ``generation_seconds`` next to its own measured duration.  It is a
+        no-op unless a request trace is open, so backends stay free to
+        call plain :meth:`generate` from anywhere.
         """
         with get_tracer().span("llm.generate", model=self.name) as span:
             response = self.generate(request)
             span.set_attributes(
                 model=response.model_name,
                 none_answer=response.is_none_answer,
+                thinking_seconds=response.thinking_seconds,
+                generation_seconds=response.generation_seconds,
             )
             return response
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.htap.engines.base import EngineKind
+from repro.htap.plan.serialize import plan_to_dict
+from repro.htap.system import PlanPair
 from repro.knowledge.entry import KnowledgeEntry
 
 BACKGROUND_TEMPLATE = (
@@ -81,15 +83,37 @@ class KnowledgeAttachment:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuestionAttachment:
-    """Structured form of the QUESTION block."""
+    """Structured form of the QUESTION block: the EXPLAIN form of one query.
+
+    Frozen because one instance is shared: the service's L2 plan cache
+    stores it, and every explanation built from that entry points at it.
+    """
 
     sql: str
     tp_plan: dict[str, Any]
     ap_plan: dict[str, Any]
     execution_result: str | None
     faster_engine: EngineKind | None
+
+    @classmethod
+    def from_plan_pair(
+        cls,
+        plan_pair: PlanPair,
+        *,
+        execution_result: str | None = None,
+        faster_engine: EngineKind | None = None,
+    ) -> "QuestionAttachment":
+        """The QUESTION for ``plan_pair``: its SQL and both plans in the
+        paper's EXPLAIN dictionary format."""
+        return cls(
+            sql=plan_pair.query.raw_sql,
+            tp_plan=plan_to_dict(plan_pair.tp_plan),
+            ap_plan=plan_to_dict(plan_pair.ap_plan),
+            execution_result=execution_result,
+            faster_engine=faster_engine,
+        )
 
 
 @dataclass

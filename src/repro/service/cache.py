@@ -6,10 +6,12 @@ Two levels, both LRU with optional TTL and full hit/miss accounting:
   serves the finished answer without touching planner, router, knowledge
   base, or LLM.  Invalidated by knowledge-base writes (retrieval grounding
   changed) and by DDL (plans changed).
-* **L2 — plan cache**: ``sql_fingerprint -> (QueryExecution, embedding)``.
-  A hit skips parse → optimize → execute → encode and goes straight to
-  retrieval + generation.  Invalidated by DDL only; knowledge-base writes
-  do not change plans or embeddings.
+* **L2 — plan cache**: ``sql_fingerprint -> (question, embedding)``, where
+  ``question`` is the :class:`~repro.llm.prompts.QuestionAttachment` (the
+  EXPLAIN-form plan pair plus the execution result) that every explanation
+  built from the entry shares.  A hit skips parse → optimize → execute →
+  encode and goes straight to retrieval + generation.  Invalidated by DDL
+  only; knowledge-base writes do not change plans or embeddings.
 
 Both caches are safe to use from many worker threads.
 """
@@ -22,7 +24,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
-from repro.knowledge.quantization import QuantizedVector, quantize_vector
 from repro.knowledge.knowledge_base import DEFAULT_TENANT
 
 _MISSING = object()
@@ -193,11 +194,6 @@ class ServiceCache:
     quiet one's entries.  The :attr:`explanations` / :attr:`plans`
     properties alias the default tenant's levels, keeping the
     single-tenant API unchanged.
-
-    With ``quantize_embeddings`` the L2 plan entries store their embedding
-    as int8 codes (:mod:`repro.knowledge.quantization`) — ~8× less
-    embedding memory per entry — and :meth:`get_plan` dequantizes on hit,
-    so callers always receive a float64 array.
     """
 
     def __init__(
@@ -207,7 +203,6 @@ class ServiceCache:
         plan_capacity: int = 2048,
         explanation_ttl_seconds: float | None = None,
         plan_ttl_seconds: float | None = None,
-        quantize_embeddings: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ):
         self._explanation_capacity = explanation_capacity
@@ -215,7 +210,6 @@ class ServiceCache:
         self._explanation_ttl = explanation_ttl_seconds
         self._plan_ttl = plan_ttl_seconds
         self._clock = clock
-        self.quantize_embeddings = quantize_embeddings
         self._levels_lock = threading.Lock()
         #: tenant -> CacheLevels; replaced copy-on-write so readers may
         #: iterate a snapshot without holding the lock.
@@ -258,25 +252,18 @@ class ServiceCache:
     def put_plan(
         self,
         key: Hashable,
-        execution: Any,
+        question: Any,
         embedding: Any,
         *,
         epoch: int | None = None,
         tenant: str = DEFAULT_TENANT,
     ) -> bool:
-        """Store one L2 entry, quantizing the embedding when configured."""
-        stored = quantize_vector(embedding) if self.quantize_embeddings else embedding
-        return self.level(tenant).plans.put(key, (execution, stored), epoch=epoch)
+        """Store one L2 entry ``(question, embedding)`` for ``tenant``."""
+        return self.level(tenant).plans.put(key, (question, embedding), epoch=epoch)
 
     def get_plan(self, key: Hashable, *, tenant: str = DEFAULT_TENANT) -> tuple[Any, Any] | None:
-        """One L2 lookup; quantized embeddings are dequantized on hit."""
-        entry = self.level(tenant).plans.get(key)
-        if entry is None:
-            return None
-        execution, stored = entry
-        if isinstance(stored, QuantizedVector):
-            stored = stored.dequantize()
-        return execution, stored
+        """One L2 lookup: ``(question, embedding)``, or ``None`` on a miss."""
+        return self.level(tenant).plans.get(key)
 
     # ------------------------------------------------------------ invalidation
     def on_kb_write(self, event: str, entry_id: str, tenant: str = DEFAULT_TENANT) -> None:

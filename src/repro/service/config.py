@@ -10,10 +10,7 @@ The knobs group into four concerns:
 * **concurrency** — ``max_workers``, ``max_in_flight``,
   ``default_deadline_seconds``;
 * **caching** — capacities and TTLs for the L1 explanation and L2 plan
-  caches, plus ``quantize_embedding_cache``: store L2 embeddings as int8
-  (:mod:`repro.knowledge.quantization`) for ~8× less embedding memory per
-  entry at a small, bounded precision cost — a capacity-for-accuracy knob
-  for deployments that want deeper plan caches in the same footprint;
+  caches;
 * **batching** — the micro-batcher's ``batch_max_size`` and
   ``batch_max_wait_seconds`` coalescing window (the window only applies
   once concurrent arrivals are observed; a lone request flushes
@@ -54,7 +51,6 @@ class ServiceConfig:
     plan_ttl_seconds: float | None = None
     batch_max_size: int = 16
     batch_max_wait_seconds: float = 0.002
-    quantize_embedding_cache: bool = False
     #: ``None`` disables the admin HTTP server; ``0`` binds an ephemeral port.
     admin_port: int | None = None
     admin_host: str = "127.0.0.1"

@@ -3,10 +3,10 @@
 Deliberately lightweight: a :class:`MetricsRegistry` is a named bag of
 :class:`Counter` and :class:`LatencyHistogram` objects whose
 :meth:`~MetricsRegistry.snapshot` exports one plain dict — the contract the
-throughput benchmark, the ``BENCH_*.json`` exporter, and any external
-scraper consume.  Quantile math is delegated to :mod:`repro.obs.stats`
-so a p95 reported here uses the same nearest-rank convention as every
-other percentile in the repo.
+served-path benchmark (``perfbench``), the admin plane's ``/metrics``
+exposition and any external scraper consume.  Quantile math is delegated
+to :mod:`repro.obs.stats` so a p95 reported here uses the same
+nearest-rank convention as every other percentile in the repo.
 """
 
 from __future__ import annotations

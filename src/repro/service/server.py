@@ -7,11 +7,11 @@ production-shaped request path:
   new requests are shed with a typed ``QUEUE_FULL`` rejection instead of an
   exception or an unbounded queue;
 * **multi-level caching** — an L1 explanation cache (normalized-SQL +
-  user-notes key) served synchronously at admission, and an L2 plan /
-  embedding cache that lets repeated SQL skip parse → optimize → execute →
-  encode (see :mod:`repro.service.cache`); both are invalidated
-  automatically on DDL and knowledge-base writes via the listener hooks on
-  :class:`~repro.htap.system.HTAPSystem` and
+  user-notes key) served synchronously at admission, and an L2 cache of
+  each SQL's QUESTION block and embedding that lets repeated SQL skip
+  parse → optimize → execute → encode (see :mod:`repro.service.cache`);
+  both are invalidated automatically on DDL and knowledge-base writes via
+  the listener hooks on :class:`~repro.htap.system.HTAPSystem` and
   :class:`~repro.knowledge.knowledge_base.KnowledgeBase`;
 * **micro-batched router inference** — cold requests encode through the
   :class:`~repro.service.batching.MicroBatcher`, so concurrent encodes run
@@ -45,10 +45,10 @@ from typing import Sequence
 
 from repro.explainer.pipeline import Explanation, RagExplainer, execution_result_text
 from repro.htap.catalog import Index
-from repro.htap.system import HTAPSystem, QueryExecution
+from repro.htap.system import HTAPSystem
 from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.llm.client import LLMClient
-from repro.llm.prompts import PromptBuilder
+from repro.llm.prompts import PromptBuilder, QuestionAttachment
 from repro.obs.tracing import NULL_SPAN, Span, Tracer, get_tracer
 from repro.router.router import SmartRouter
 from repro.service.api import (
@@ -97,7 +97,6 @@ class ExplanationService:
         plan_ttl_seconds: float | None = None,
         batch_max_size: int | None = None,
         batch_max_wait_seconds: float | None = None,
-        quantize_embedding_cache: bool | None = None,
         admin_port: int | None = None,
         admin_host: str | None = None,
         tenants: tuple[TenantConfig, ...] | None = None,
@@ -113,7 +112,6 @@ class ExplanationService:
             plan_ttl_seconds=plan_ttl_seconds,
             batch_max_size=batch_max_size,
             batch_max_wait_seconds=batch_max_wait_seconds,
-            quantize_embedding_cache=quantize_embedding_cache,
             admin_port=admin_port,
             admin_host=admin_host,
             tenants=tenants,
@@ -140,7 +138,6 @@ class ExplanationService:
             plan_capacity=resolved.plan_cache_capacity,
             explanation_ttl_seconds=resolved.explanation_ttl_seconds,
             plan_ttl_seconds=resolved.plan_ttl_seconds,
-            quantize_embeddings=resolved.quantize_embedding_cache,
         )
         self.batcher = MicroBatcher(
             router,
@@ -456,7 +453,7 @@ class ExplanationService:
             lookup.set_attribute("hit", plan_entry is not None)
         encode_seconds = 0.0
         if plan_entry is None:
-            execution: QueryExecution = self.system.run_both(request.sql)
+            execution = self.system.run_both(request.sql)
             encode_start = time.perf_counter()
             try:
                 with tracer.span("pipeline.encode", batched=True):
@@ -471,10 +468,18 @@ class ExplanationService:
                     request, root, queue_seconds, "waiting for the encoder"
                 )
             encode_seconds = time.perf_counter() - encode_start
-            self.cache.put_plan(plan_cache_key, execution, embedding, epoch=plan_epoch, tenant=tenant)
+            # The L2 entry keeps only the QUESTION (the EXPLAIN-form plan
+            # pair and execution result); the parsed query, plan trees and
+            # execution results die with this request.
+            question = QuestionAttachment.from_plan_pair(
+                execution.plan_pair,
+                execution_result=execution_result_text(execution),
+                faster_engine=execution.faster_engine,
+            )
+            self.cache.put_plan(plan_cache_key, question, embedding, epoch=plan_epoch, tenant=tenant)
             plan_cache_hit = False
         else:
-            execution, embedding = plan_entry
+            question, embedding = plan_entry
             plan_cache_hit = True
         root.set_attribute("cache.l2_hit", plan_cache_hit)
 
@@ -483,12 +488,10 @@ class ExplanationService:
 
         retrieval = self.explainer.retrieve_stage(embedding, tenant=tenant)
         explanation: Explanation = self.explainer.generate_stage(
-            execution.plan_pair,
+            question,
             embedding,
             retrieval,
             encode_seconds=encode_seconds,
-            execution_result=execution_result_text(execution),
-            faster_engine=execution.faster_engine,
             user_notes=request.user_notes,
         )
         levels.explanations.put(cache_key, explanation, epoch=explanation_epoch)

@@ -80,3 +80,19 @@ def test_norag_explain_sql_roundtrip(norag, example1_sql):
     answer = norag.explain_sql(example1_sql)
     assert answer.claimed_winner is EngineKind.AP
     assert answer.text
+
+
+def test_norag_question_block_matches_the_pipeline(norag, labeled_workload):
+    """The ablation shows the same QUESTION block as the RAG pipeline."""
+    from repro.explainer.pipeline import execution_result_text
+    from repro.llm.prompts import PromptBuilder, QuestionAttachment
+
+    execution = labeled_workload[0].execution
+    answer = norag.explain_execution(execution)
+    question = QuestionAttachment.from_plan_pair(
+        execution.plan_pair,
+        execution_result=execution_result_text(execution),
+        faster_engine=execution.faster_engine,
+    )
+    assert PromptBuilder.question_section(question) in answer.prompt_text
+    assert answer.sql == execution.plan_pair.query.raw_sql

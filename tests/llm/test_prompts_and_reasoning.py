@@ -34,6 +34,22 @@ def test_table_i_sections_follow_paper(system):
     assert "c_phone" in rows["Additional user context"]
 
 
+def test_question_from_plan_pair_is_the_explain_form(system, example1_sql):
+    pair = system.explain_pair(example1_sql)
+    question = QuestionAttachment.from_plan_pair(pair)
+    assert question == QuestionAttachment(
+        sql=pair.query.raw_sql,
+        tp_plan=plan_to_dict(pair.tp_plan),
+        ap_plan=plan_to_dict(pair.ap_plan),
+        execution_result=None,
+        faster_engine=None,
+    )
+    run = QuestionAttachment.from_plan_pair(
+        pair, execution_result="AP was faster", faster_engine=EngineKind.AP
+    )
+    assert (run.execution_result, run.faster_engine) == ("AP was faster", EngineKind.AP)
+
+
 def test_prompt_contains_knowledge_and_question(system, example1_sql):
     builder = PromptBuilder()
     question = _question(system, example1_sql, execution="AP was faster")

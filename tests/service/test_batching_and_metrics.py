@@ -76,6 +76,29 @@ def test_flush_spans_carry_featurization_split(trained_router, labeled_workload)
     assert attributes["forward_seconds"] > 0.0
 
 
+def test_llm_span_carries_modeled_seconds(service_stack):
+    """``llm.generate`` reports the simulator's modeled thinking and
+    generation time next to its own measured duration."""
+    from repro.obs.sampling import Sampler
+    from repro.obs.store import TraceStore
+    from repro.obs.tracing import traced
+    from repro.service import ExplanationService
+
+    system, router, knowledge_base, llm, sqls, _labeled = service_stack
+    store = TraceStore()
+    with traced(store=store, sampler=Sampler(head_probability=1.0)):
+        with ExplanationService(system, router, knowledge_base, llm, max_workers=1) as service:
+            result = service.explain(sqls[0])
+    assert result.ok
+    spans = [span for trace in store.traces() for span in trace.find("llm.generate")]
+    assert len(spans) == 1
+    attributes = spans[0].attributes
+    response = result.explanation.response
+    assert response.thinking_seconds > 0.0 and response.generation_seconds > 0.0
+    assert attributes["thinking_seconds"] == response.thinking_seconds
+    assert attributes["generation_seconds"] == response.generation_seconds
+
+
 def test_embed_batch_reports_timings_dict(trained_router, labeled_workload):
     pairs = [labeled.execution.plan_pair for labeled in labeled_workload[:4]]
     timings: dict[str, float] = {}

@@ -1,9 +1,8 @@
-"""ServiceConfig merging and the int8-quantized L2 embedding cache."""
+"""ServiceConfig merging and the L2 plan cache's entries."""
 
 import numpy as np
 import pytest
 
-from repro.knowledge.quantization import QuantizedVector
 from repro.service import ExplanationService, ServiceCache, ServiceConfig
 
 
@@ -14,7 +13,6 @@ def test_config_defaults_match_legacy_kwargs():
     assert config.max_workers == 4
     assert config.max_in_flight == 64
     assert config.batch_max_size == 16
-    assert config.quantize_embedding_cache is False
 
 
 def test_with_overrides_applies_non_none_only():
@@ -59,31 +57,19 @@ def test_invalid_config_values_still_rejected(service_stack):
         )
 
 
-# ----------------------------------------------------- quantized L2 entries
-def test_service_cache_quantizes_plan_embeddings():
-    cache = ServiceCache(quantize_embeddings=True)
-    embedding = np.random.default_rng(5).normal(size=16)
-    assert cache.put_plan("fp1", "execution-sentinel", embedding)
-    raw_execution, raw_stored = cache.plans.get("fp1")
-    assert isinstance(raw_stored, QuantizedVector)  # stored as int8 codes
-    assert raw_stored.nbytes * 4 < embedding.nbytes
-    execution, recovered = cache.get_plan("fp1")
-    assert execution == "execution-sentinel"
-    assert recovered.dtype == np.float64
-    assert np.max(np.abs(recovered - embedding)) <= raw_stored.max_abs_error + 1e-12
-
-
+# ----------------------------------------------------------- L2 entries
 def test_service_cache_plain_embeddings_pass_through():
-    cache = ServiceCache(quantize_embeddings=False)
+    cache = ServiceCache()
     embedding = np.arange(8, dtype=np.float64)
-    cache.put_plan("fp1", "execution-sentinel", embedding)
-    _execution, stored = cache.get_plan("fp1")
-    np.testing.assert_array_equal(stored, embedding)
+    cache.put_plan("fp1", "question-sentinel", embedding)
+    question, stored = cache.get_plan("fp1")
+    assert question == "question-sentinel"
+    assert stored is embedding
     assert cache.get_plan("missing") is None
 
 
 def test_get_plan_respects_epoch_guard():
-    cache = ServiceCache(quantize_embeddings=True)
+    cache = ServiceCache()
     epoch = cache.plans.epoch
     cache.plans.clear()
     assert not cache.put_plan("fp1", "x", np.ones(4), epoch=epoch)
@@ -91,17 +77,17 @@ def test_get_plan_respects_epoch_guard():
 
 
 def test_quantized_cache_serves_l2_hits_end_to_end(service_stack):
+    """Same SQL, different notes: the second request is an L2 hit."""
     system, router, knowledge_base, llm, sqls, _labeled = service_stack
     service = ExplanationService(
-        system, router, knowledge_base, llm,
-        config=ServiceConfig(quantize_embedding_cache=True, max_workers=2),
+        system, router, knowledge_base, llm, config=ServiceConfig(max_workers=2),
     )
     try:
         sql = sqls[0]
         cold = service.explain(sql, user_notes="first")
         assert cold.ok and not cold.plan_cache_hit
         # Different notes → different L1 key, same SQL fingerprint → the L2
-        # entry (with its quantized embedding) serves the plan + embedding.
+        # entry serves the QUESTION block and the embedding.
         warm = service.explain(sql, user_notes="second")
         assert warm.ok and warm.plan_cache_hit
         assert warm.explanation is not None
