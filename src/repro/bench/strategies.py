@@ -37,7 +37,7 @@ from repro.bench.runner import (
     ExperimentStrategy,
     RunResult,
 )
-from repro.service.server import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 
 #: Harness scales the CLI can build.  ``quick`` mirrors the reduced harness
 #: the unit tests use (same code paths, ~seconds to build) and is what CI
@@ -228,8 +228,7 @@ class ObsOverheadStrategy(ExperimentStrategy):
             harness.router,
             harness.knowledge_base,
             harness.llm,
-            top_k=harness.top_k,
-            max_workers=self.max_workers,
+            config=ServiceConfig(top_k=harness.top_k, max_workers=self.max_workers),
         )
         try:
             for sql in sqls:

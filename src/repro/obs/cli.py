@@ -123,7 +123,7 @@ def _demo(args: argparse.Namespace) -> int:
     from repro.obs.promtext import merged_exposition
     from repro.obs.store import TraceStore
     from repro.obs.tracing import traced
-    from repro.service.server import ExplanationService
+    from repro.service import ExplanationService, ServiceConfig
 
     print(f"building harness (profile={args.profile}) ...", flush=True)
     harness = build_harness(args.profile)
@@ -139,8 +139,7 @@ def _demo(args: argparse.Namespace) -> int:
             harness.router,
             harness.knowledge_base,
             harness.llm,
-            top_k=harness.top_k,
-            max_workers=4,
+            config=ServiceConfig(top_k=harness.top_k),
         )
         try:
             for sql in sqls:
@@ -183,7 +182,7 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.obs.sampling import Sampler
     from repro.obs.store import TraceStore
     from repro.obs.tracing import traced
-    from repro.service.server import ExplanationService
+    from repro.service import ExplanationService, ServiceConfig
 
     print(f"building harness (profile={args.profile}) ...", flush=True)
     harness = build_harness(args.profile)
@@ -199,10 +198,7 @@ def _serve(args: argparse.Namespace) -> int:
             harness.router,
             harness.knowledge_base,
             harness.llm,
-            top_k=harness.top_k,
-            max_workers=4,
-            admin_port=args.port,
-            admin_host=args.host,
+            config=ServiceConfig(top_k=harness.top_k, admin_port=args.port, admin_host=args.host),
         )
         try:
             admin = service.admin

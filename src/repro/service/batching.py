@@ -106,6 +106,11 @@ class WeightedFairQueue(Generic[T]):
             self._cond.notify_all()
 
 
+class BatcherClosedError(RuntimeError):
+    """Raised for an encode submitted to, or still queued in, a closed
+    :class:`MicroBatcher`."""
+
+
 @dataclass
 class _PendingEncode:
     plan_pair: "PlanPair"
@@ -168,7 +173,7 @@ class MicroBatcher:
         )
         with self._submit_lock:
             if self._closed.is_set():
-                raise RuntimeError("MicroBatcher is closed")
+                raise BatcherClosedError("MicroBatcher is closed")
             self._queue.put(pending, tenant=tenant, weight=weight)
         return pending.future
 
@@ -210,7 +215,7 @@ class MicroBatcher:
                 pending = self._queue.get_nowait()
             except queue.Empty:
                 break
-            pending.future.set_exception(RuntimeError("MicroBatcher closed"))
+            pending.future.set_exception(BatcherClosedError("MicroBatcher closed"))
 
     def __enter__(self) -> "MicroBatcher":
         return self

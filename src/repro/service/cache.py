@@ -1,6 +1,9 @@
 """Multi-level caching for the explanation service.
 
-Two levels, both LRU with optional TTL and full hit/miss accounting:
+Two levels, both LRU with full hit/miss accounting and fixed capacities
+(:data:`EXPLANATION_CAPACITY`, :data:`PLAN_CAPACITY`).  Entries do not
+expire; freshness comes from the epoch-guarded clears on DDL and
+knowledge-base writes:
 
 * **L1 — explanation cache**: ``request_cache_key -> Explanation``.  A hit
   serves the finished answer without touching planner, router, knowledge
@@ -19,12 +22,16 @@ Both caches are safe to use from many worker threads.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from repro.knowledge.knowledge_base import DEFAULT_TENANT
+
+#: Per-tenant entry bound of the L1 explanation cache.
+EXPLANATION_CAPACITY = 512
+#: Per-tenant entry bound of the L2 plan cache.
+PLAN_CAPACITY = 2048
 
 _MISSING = object()
 
@@ -37,7 +44,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    expirations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -53,48 +59,27 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "expirations": self.expirations,
             "hit_rate": self.hit_rate,
         }
 
 
-class LRUTTLCache:
-    """Thread-safe LRU cache with optional per-cache TTL.
+class LRUCache:
+    """Thread-safe LRU cache; ``capacity`` bounds the entry count, evicting
+    least-recently-used entries."""
 
-    ``ttl_seconds=None`` disables expiry; ``capacity`` bounds the entry
-    count, evicting least-recently-used entries.  The clock is injectable
-    so TTL behaviour is testable without sleeping.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 1024,
-        *,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None to disable)")
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
-        self._entries: "OrderedDict[Hashable, tuple[Any, float | None]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._stats = CacheStats()
         self._epoch = 0
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         with self._lock:
-            item = self._entries.get(key, _MISSING)
-            if item is _MISSING:
-                self._stats.misses += 1
-                return default
-            value, expires_at = item
-            if expires_at is not None and self._clock() >= expires_at:
-                del self._entries[key]
-                self._stats.expirations += 1
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
                 self._stats.misses += 1
                 return default
             self._entries.move_to_end(key)
@@ -112,23 +97,13 @@ class LRUTTLCache:
         with self._lock:
             if epoch is not None and epoch != self._epoch:
                 return False
-            expires_at = None if self.ttl_seconds is None else self._clock() + self.ttl_seconds
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (value, expires_at)
+            self._entries[key] = value
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._stats.evictions += 1
             return True
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was present."""
-        with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-                self._stats.invalidations += 1
-                return True
-            return False
 
     def clear(self) -> int:
         """Drop every entry; returns how many were dropped.
@@ -155,11 +130,7 @@ class LRUTTLCache:
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            item = self._entries.get(key, _MISSING)
-            if item is _MISSING:
-                return False
-            _value, expires_at = item
-            return expires_at is None or self._clock() < expires_at
+            return key in self._entries
 
     @property
     def stats(self) -> CacheStats:
@@ -177,8 +148,14 @@ class LRUTTLCache:
 class CacheLevels:
     """One tenant's pair of cache levels (L1 explanations + L2 plans)."""
 
-    explanations: LRUTTLCache
-    plans: LRUTTLCache
+    explanations: LRUCache
+    plans: LRUCache
+
+
+def _new_levels() -> CacheLevels:
+    return CacheLevels(
+        explanations=LRUCache(EXPLANATION_CAPACITY), plans=LRUCache(PLAN_CAPACITY)
+    )
 
 
 class ServiceCache:
@@ -196,32 +173,11 @@ class ServiceCache:
     single-tenant API unchanged.
     """
 
-    def __init__(
-        self,
-        *,
-        explanation_capacity: int = 512,
-        plan_capacity: int = 2048,
-        explanation_ttl_seconds: float | None = None,
-        plan_ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self._explanation_capacity = explanation_capacity
-        self._plan_capacity = plan_capacity
-        self._explanation_ttl = explanation_ttl_seconds
-        self._plan_ttl = plan_ttl_seconds
-        self._clock = clock
+    def __init__(self) -> None:
         self._levels_lock = threading.Lock()
         #: tenant -> CacheLevels; replaced copy-on-write so readers may
         #: iterate a snapshot without holding the lock.
-        self._levels: dict[str, CacheLevels] = {DEFAULT_TENANT: self._new_levels()}
-
-    def _new_levels(self) -> CacheLevels:
-        return CacheLevels(
-            explanations=LRUTTLCache(
-                self._explanation_capacity, ttl_seconds=self._explanation_ttl, clock=self._clock
-            ),
-            plans=LRUTTLCache(self._plan_capacity, ttl_seconds=self._plan_ttl, clock=self._clock),
-        )
+        self._levels: dict[str, CacheLevels] = {DEFAULT_TENANT: _new_levels()}
 
     # ------------------------------------------------------------ tenant levels
     def level(self, tenant: str = DEFAULT_TENANT) -> CacheLevels:
@@ -231,7 +187,7 @@ class ServiceCache:
             with self._levels_lock:
                 levels = self._levels.get(tenant)
                 if levels is None:
-                    levels = self._new_levels()
+                    levels = _new_levels()
                     self._levels = {**self._levels, tenant: levels}
         return levels
 
@@ -239,12 +195,12 @@ class ServiceCache:
         return tuple(sorted(self._levels))
 
     @property
-    def explanations(self) -> LRUTTLCache:
+    def explanations(self) -> LRUCache:
         """The default tenant's L1 (legacy single-tenant accessor)."""
         return self._levels[DEFAULT_TENANT].explanations
 
     @property
-    def plans(self) -> LRUTTLCache:
+    def plans(self) -> LRUCache:
         """The default tenant's L2 (legacy single-tenant accessor)."""
         return self._levels[DEFAULT_TENANT].plans
 
@@ -289,9 +245,6 @@ class ServiceCache:
         for levels in self._levels.values():
             levels.plans.clear()
             levels.explanations.clear()
-
-    def invalidate_all(self) -> None:
-        self.on_ddl("manual", "*")
 
     # ---------------------------------------------------------------- export
     def snapshot(self) -> dict[str, dict[str, float]]:

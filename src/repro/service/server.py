@@ -41,7 +41,6 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Sequence
 
 from repro.explainer.pipeline import Explanation, RagExplainer, execution_result_text
 from repro.htap.catalog import Index
@@ -57,12 +56,12 @@ from repro.service.api import (
     RequestStatus,
     ServiceErrorCode,
 )
-from repro.service.batching import MicroBatcher
+from repro.service.batching import BatcherClosedError, MicroBatcher
 from repro.service.cache import CacheLevels, ServiceCache
 from repro.service.config import ServiceConfig
 from repro.service.fingerprint import explanation_key, normalize_sql, plan_key
 from repro.service.metrics import MetricsRegistry
-from repro.service.tenancy import TenantConfig, TenantRegistry
+from repro.service.tenancy import TenantRegistry
 
 
 def _completed(result: ExplainResult) -> "Future[ExplainResult]":
@@ -87,66 +86,26 @@ class ExplanationService:
         *,
         config: ServiceConfig | None = None,
         prompt_builder: PromptBuilder | None = None,
-        top_k: int | None = None,
-        max_workers: int | None = None,
-        max_in_flight: int | None = None,
-        default_deadline_seconds: float | None = None,
-        explanation_cache_capacity: int | None = None,
-        plan_cache_capacity: int | None = None,
-        explanation_ttl_seconds: float | None = None,
-        plan_ttl_seconds: float | None = None,
-        batch_max_size: int | None = None,
-        batch_max_wait_seconds: float | None = None,
-        admin_port: int | None = None,
-        admin_host: str | None = None,
-        tenants: tuple[TenantConfig, ...] | None = None,
     ):
-        self.config = (config or ServiceConfig()).with_overrides(
-            top_k=top_k,
-            max_workers=max_workers,
-            max_in_flight=max_in_flight,
-            default_deadline_seconds=default_deadline_seconds,
-            explanation_cache_capacity=explanation_cache_capacity,
-            plan_cache_capacity=plan_cache_capacity,
-            explanation_ttl_seconds=explanation_ttl_seconds,
-            plan_ttl_seconds=plan_ttl_seconds,
-            batch_max_size=batch_max_size,
-            batch_max_wait_seconds=batch_max_wait_seconds,
-            admin_port=admin_port,
-            admin_host=admin_host,
-            tenants=tenants,
-        )
-        resolved = self.config
-        if resolved.max_workers < 1:
+        self.config = config = config or ServiceConfig()
+        if config.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if resolved.max_in_flight < 1:
+        if config.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
         self.system = system
         self.router = router
         self.knowledge_base = knowledge_base
-        self.tenants = TenantRegistry(resolved.tenants)
+        self.tenants = TenantRegistry(config.tenants)
         self.llm = llm
         self.explainer = RagExplainer(
             system, router, knowledge_base, llm,
-            top_k=resolved.top_k, prompt_builder=prompt_builder,
+            top_k=config.top_k, prompt_builder=prompt_builder,
         )
-        self.default_deadline_seconds = resolved.default_deadline_seconds
-        self.max_in_flight = resolved.max_in_flight
         self.metrics = MetricsRegistry()
-        self.cache = ServiceCache(
-            explanation_capacity=resolved.explanation_cache_capacity,
-            plan_capacity=resolved.plan_cache_capacity,
-            explanation_ttl_seconds=resolved.explanation_ttl_seconds,
-            plan_ttl_seconds=resolved.plan_ttl_seconds,
-        )
-        self.batcher = MicroBatcher(
-            router,
-            max_batch_size=resolved.batch_max_size,
-            max_wait_seconds=resolved.batch_max_wait_seconds,
-            metrics=self.metrics,
-        )
+        self.cache = ServiceCache()
+        self.batcher = MicroBatcher(router, metrics=self.metrics)
         self._executor = ThreadPoolExecutor(
-            max_workers=resolved.max_workers, thread_name_prefix="explain"
+            max_workers=config.max_workers, thread_name_prefix="explain"
         )
         self._in_flight = 0
         self._admission_lock = threading.Lock()
@@ -158,11 +117,11 @@ class ExplanationService:
         #: ``admin_port`` is configured).
         self.admin = None
         self.slo = None
-        if resolved.admin_port is not None:
-            self._start_admin(resolved)
+        if config.admin_port is not None:
+            self._start_admin(config)
 
     # ------------------------------------------------------------- admin plane
-    def _start_admin(self, resolved: ServiceConfig) -> None:
+    def _start_admin(self, config: ServiceConfig) -> None:
         # Imported lazily: most deployments never start the admin plane,
         # and repro.obs.server pulls in asyncio machinery this hot-path
         # module otherwise does not need.
@@ -171,8 +130,8 @@ class ExplanationService:
 
         self.slo = SLOTracker()
         self.admin = AdminServer(
-            host=resolved.admin_host,
-            port=resolved.admin_port,
+            host=config.admin_host,
+            port=config.admin_port,
             # The tracer providers re-read get_tracer() per request so the
             # endpoints follow `traced(...)` installs/restores live.
             snapshot_providers=(
@@ -220,8 +179,8 @@ class ExplanationService:
             checks.append(
                 HealthCheck(
                     "queue_depth",
-                    in_flight < self.max_in_flight,
-                    f"{in_flight}/{self.max_in_flight} in flight",
+                    in_flight < self.config.max_in_flight,
+                    f"{in_flight}/{self.config.max_in_flight} in flight",
                 )
             )
             cache_stats = self.cache.snapshot()
@@ -278,7 +237,7 @@ class ExplanationService:
             sql=sql,
             user_notes=user_notes,
             deadline_seconds=(
-                self.default_deadline_seconds if deadline_seconds is None else deadline_seconds
+                self.config.default_deadline_seconds if deadline_seconds is None else deadline_seconds
             ),
             tenant=tenant,
         )
@@ -307,12 +266,12 @@ class ExplanationService:
             root.end()
             return _completed(result)
         with self._admission_lock:
-            if self._in_flight >= self.max_in_flight:
+            if self._in_flight >= self.config.max_in_flight:
                 return self._refuse(
                     request,
                     root,
                     ServiceErrorCode.QUEUE_FULL,
-                    f"in-flight limit of {self.max_in_flight} reached",
+                    f"in-flight limit of {self.config.max_in_flight} reached",
                 )
             self._in_flight += 1
         try:
@@ -367,17 +326,26 @@ class ExplanationService:
             total_seconds=total,
         )
 
-    def _deadline_exceeded(
-        self, request: ExplainRequest, root: "Span", queue_seconds: float, when: str
+    def _cut_short(
+        self, request: ExplainRequest, root: "Span", queue_seconds: float,
+        code: ServiceErrorCode, message: str,
     ) -> ExplainResult:
-        self._tag_rejection(root, ServiceErrorCode.DEADLINE_EXCEEDED)
+        """An admitted request the service stopped working on: counted
+        once as a rejection, typed as a failure."""
+        self._tag_rejection(root, code)
         return ExplainResult.failure(
             request.request_id,
-            ServiceErrorCode.DEADLINE_EXCEEDED,
-            f"deadline of {request.deadline_seconds:.3f}s expired {when}",
+            code,
+            message,
             queue_seconds=queue_seconds,
             total_seconds=time.perf_counter() - request.submitted_at,
         )
+
+    def _deadline_exceeded(
+        self, request: ExplainRequest, root: "Span", queue_seconds: float, when: str
+    ) -> ExplainResult:
+        message = f"deadline of {request.deadline_seconds:.3f}s expired {when}"
+        return self._cut_short(request, root, queue_seconds, ServiceErrorCode.DEADLINE_EXCEEDED, message)
 
     def explain(
         self,
@@ -391,11 +359,6 @@ class ExplanationService:
         return self.submit(
             sql, user_notes=user_notes, deadline_seconds=deadline_seconds, tenant=tenant
         ).result()
-
-    def explain_many(self, sqls: Sequence[str]) -> list[ExplainResult]:
-        """Submit a batch of SQL strings and gather all results."""
-        futures = [self.submit(sql) for sql in sqls]
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------ worker
     def _process_guarded(
@@ -467,6 +430,9 @@ class ExplanationService:
                 return self._deadline_exceeded(
                     request, root, queue_seconds, "waiting for the encoder"
                 )
+            except BatcherClosedError:  # shutdown() ran mid-request: not a fault
+                message = "service shut down while the request was in flight"
+                return self._cut_short(request, root, queue_seconds, ServiceErrorCode.SERVICE_CLOSED, message)
             encode_seconds = time.perf_counter() - encode_start
             # The L2 entry keeps only the QUESTION (the EXPLAIN-form plan
             # pair and execution result); the parsed query, plan trees and
@@ -516,7 +482,7 @@ class ExplanationService:
         payload["batching"] = self.batcher.stats()
         with self._admission_lock:
             payload["in_flight"] = self._in_flight
-        payload["max_in_flight"] = self.max_in_flight
+        payload["max_in_flight"] = self.config.max_in_flight
         return payload
 
     # ---------------------------------------------------------------- lifecycle

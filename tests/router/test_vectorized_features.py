@@ -135,10 +135,10 @@ def test_service_ddl_clears_featurizer_memo(catalog):
     router.featurizer._row_count_cache["orders"] = 123.0
     from repro.knowledge.knowledge_base import KnowledgeBase
     from repro.llm.simulated import SimulatedLLM
-    from repro.service import ExplanationService
+    from repro.service import ExplanationService, ServiceConfig
 
     service = ExplanationService(
-        system, router, KnowledgeBase(), SimulatedLLM(seed=7), max_workers=1
+        system, router, KnowledgeBase(), SimulatedLLM(seed=7), config=ServiceConfig(max_workers=1)
     )
     try:
         assert router.featurizer._row_count_cache

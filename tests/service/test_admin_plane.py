@@ -12,7 +12,7 @@ from repro.obs.promtext import METRIC_LINE
 from repro.obs.sampling import Sampler
 from repro.obs.store import TraceStore
 from repro.obs.tracing import traced
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 
 
 def _get(url: str) -> tuple[int, str]:
@@ -31,7 +31,7 @@ def test_admin_plane_end_to_end(service_stack):
     store = TraceStore(max_recent=32)
     with traced(store=store, sampler=Sampler(head_probability=1.0)):
         service = ExplanationService(
-            system, router, knowledge_base, llm, max_workers=2, admin_port=0
+            system, router, knowledge_base, llm, config=ServiceConfig(max_workers=2, admin_port=0)
         )
         try:
             assert service.admin is not None and service.admin.running
@@ -85,7 +85,9 @@ def test_rejected_requests_survive_one_percent_sampling(service_stack):
     store = TraceStore(max_recent=64)
     sampler = Sampler(head_probability=0.01)
     with traced(store=store, sampler=sampler):
-        service = ExplanationService(system, router, knowledge_base, llm, max_workers=2)
+        service = ExplanationService(
+            system, router, knowledge_base, llm, config=ServiceConfig(max_workers=2)
+        )
         service.shutdown()  # every subsequent submit is rejected (closed)
         results = [service.explain(sql) for sql in sqls]
     assert all(not result.ok for result in results)
@@ -114,7 +116,9 @@ def test_batcher_survives_an_error_in_flush_bookkeeping(service_stack, monkeypat
     """A fault after the forward pass fails that batch only; the scheduler
     keeps serving and /healthz still reports it alive."""
     system, router, knowledge_base, llm, _sqls, labeled = service_stack
-    service = ExplanationService(system, router, knowledge_base, llm, max_workers=2, admin_port=0)
+    service = ExplanationService(
+        system, router, knowledge_base, llm, config=ServiceConfig(max_workers=2, admin_port=0)
+    )
     try:
         metrics = service.batcher.metrics
         real_counter = metrics.counter
@@ -144,7 +148,9 @@ def test_batcher_survives_an_error_in_flush_bookkeeping(service_stack, monkeypat
 @pytest.mark.parametrize("readiness", [False, True])
 def test_health_report_after_shutdown(service_stack, readiness):
     system, router, knowledge_base, llm, _sqls, _labeled = service_stack
-    service = ExplanationService(system, router, knowledge_base, llm, max_workers=2)
+    service = ExplanationService(
+        system, router, knowledge_base, llm, config=ServiceConfig(max_workers=2)
+    )
     service.shutdown()
     report = service.health_report(readiness=readiness)
     assert not report.ok

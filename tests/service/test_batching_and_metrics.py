@@ -82,12 +82,13 @@ def test_llm_span_carries_modeled_seconds(service_stack):
     from repro.obs.sampling import Sampler
     from repro.obs.store import TraceStore
     from repro.obs.tracing import traced
-    from repro.service import ExplanationService
+    from repro.service import ExplanationService, ServiceConfig
 
     system, router, knowledge_base, llm, sqls, _labeled = service_stack
     store = TraceStore()
     with traced(store=store, sampler=Sampler(head_probability=1.0)):
-        with ExplanationService(system, router, knowledge_base, llm, max_workers=1) as service:
+        config = ServiceConfig(max_workers=1)
+        with ExplanationService(system, router, knowledge_base, llm, config=config) as service:
             result = service.explain(sqls[0])
     assert result.ok
     spans = [span for trace in store.traces() for span in trace.find("llm.generate")]

@@ -1,49 +1,64 @@
-"""ServiceConfig merging and the L2 plan cache's entries."""
+"""ServiceConfig and the L2 plan cache's entries."""
+
+import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.service import ExplanationService, ServiceCache, ServiceConfig
+from repro.service import (
+    ExplanationService,
+    RequestStatus,
+    ServiceCache,
+    ServiceConfig,
+    ServiceErrorCode,
+    TenantConfig,
+)
 
 
 # ------------------------------------------------------------ ServiceConfig
-def test_config_defaults_match_legacy_kwargs():
+def test_config_defaults():
     config = ServiceConfig()
     assert config.top_k == 2
+    assert config.tenants == ()
     assert config.max_workers == 4
     assert config.max_in_flight == 64
-    assert config.batch_max_size == 16
+    assert config.default_deadline_seconds is None
+    assert config.admin_port is None
+    assert config.admin_host == "127.0.0.1"
 
 
-def test_with_overrides_applies_non_none_only():
-    config = ServiceConfig(plan_cache_capacity=100)
-    merged = config.with_overrides(top_k=5, max_workers=None)
-    assert merged.top_k == 5
-    assert merged.max_workers == 4           # None fell through to the config
-    assert merged.plan_cache_capacity == 100  # untouched fields survive
-    assert config.top_k == 2                  # original is immutable
-
-
-def test_with_overrides_rejects_unknown_fields():
-    with pytest.raises(TypeError, match="unknown ServiceConfig field"):
-        ServiceConfig().with_overrides(bogus_knob=3)
-
-
-def test_with_overrides_no_changes_returns_self():
-    config = ServiceConfig()
-    assert config.with_overrides(top_k=None) is config
-
-
-def test_service_accepts_config_and_kwarg_overrides(service_stack):
-    system, router, knowledge_base, llm, _sqls, _labeled = service_stack
-    config = ServiceConfig(max_workers=2, top_k=1)
-    service = ExplanationService(
-        system, router, knowledge_base, llm, config=config, top_k=3
+def test_every_config_field_reaches_the_service(service_stack):
+    system, router, knowledge_base, llm, sqls, _labeled = service_stack
+    params = inspect.signature(ExplanationService.__init__).parameters
+    assert list(params) == [
+        "self", "system", "router", "knowledge_base", "llm", "config", "prompt_builder",
+    ]
+    config = ServiceConfig(
+        top_k=3,
+        tenants=(TenantConfig(name="acme", weight=2.5),),
+        max_workers=3,
+        max_in_flight=7,
+        default_deadline_seconds=1e-9,
+        admin_port=0,
+        admin_host="127.0.0.2",
     )
+    assert all(
+        getattr(config, field.name) != field.default for field in fields(ServiceConfig)
+    )
+    service = ExplanationService(system, router, knowledge_base, llm, config=config)
     try:
-        assert service.config.max_workers == 2  # from the config
-        assert service.config.top_k == 3        # explicit kwarg wins
+        assert service.config is config
         assert service.explainer.top_k == 3
+        assert service.tenants.names() == ("acme",)
+        assert service.tenants.weight("acme") == 2.5
+        assert service._executor._max_workers == 3
+        assert service.metrics_snapshot()["max_in_flight"] == 7
+        result = service.explain(sqls[0])  # inherits the 1 ns default deadline
+        assert result.status is RequestStatus.FAILED
+        assert result.error.code is ServiceErrorCode.DEADLINE_EXCEEDED
+        assert service.admin is not None and service.admin.port != 0
+        assert service.admin.url == f"http://127.0.0.2:{service.admin.port}"
     finally:
         service.shutdown()
 
@@ -76,7 +91,7 @@ def test_get_plan_respects_epoch_guard():
     assert cache.get_plan("fp1") is None
 
 
-def test_quantized_cache_serves_l2_hits_end_to_end(service_stack):
+def test_plan_cache_serves_l2_hits_end_to_end(service_stack):
     """Same SQL, different notes: the second request is an L2 hit."""
     system, router, knowledge_base, llm, sqls, _labeled = service_stack
     service = ExplanationService(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.service.cache import LRUTTLCache, ServiceCache
+from repro.service.cache import LRUCache, ServiceCache
 from repro.service.fingerprint import normalize_sql, request_cache_key, sql_fingerprint
 
 
@@ -86,7 +86,7 @@ def test_normalize_keeps_per_character_sigma():
 
 # -------------------------------------------------------------------- LRU
 def test_lru_eviction_order():
-    cache = LRUTTLCache(capacity=2)
+    cache = LRUCache(capacity=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1  # refresh a
@@ -97,30 +97,19 @@ def test_lru_eviction_order():
     assert cache.stats.evictions == 1
 
 
-def test_ttl_expiry_with_fake_clock():
-    now = [0.0]
-    cache = LRUTTLCache(capacity=8, ttl_seconds=10.0, clock=lambda: now[0])
-    cache.put("a", "fresh")
-    assert cache.get("a") == "fresh"
-    now[0] = 9.9
-    assert cache.get("a") == "fresh"
-    now[0] = 10.1
-    assert cache.get("a") is None
-    assert cache.stats.expirations == 1
-    assert "a" not in cache
-
-
-def test_hit_miss_accounting_and_invalidate():
-    cache = LRUTTLCache(capacity=4)
+def test_hit_miss_accounting_and_clear():
+    cache = LRUCache(capacity=4)
     cache.put("k", 42)
     assert cache.get("k") == 42
     assert cache.get("unknown") is None
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.hit_rate == 0.5
-    assert cache.invalidate("k") is True
-    assert cache.invalidate("k") is False
+    assert "k" in cache
+    assert cache.clear() == 1
+    assert cache.clear() == 0
     assert cache.stats.invalidations == 1
+    assert "k" not in cache
     assert len(cache) == 0
 
 
@@ -145,7 +134,7 @@ def test_ddl_evicts_both_levels():
 
 def test_epoch_guard_refuses_stale_put_after_clear():
     """A put computed before an invalidation must not repopulate the cache."""
-    cache = LRUTTLCache(capacity=8)
+    cache = LRUCache(capacity=8)
     epoch = cache.epoch
     cache.clear()  # invalidation races the in-flight computation
     assert cache.put("k", "stale", epoch=epoch) is False

@@ -16,14 +16,16 @@ import pytest
 from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.system import QueryExecution
 from repro.llm.prompts import QuestionAttachment
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 from repro.service.fingerprint import normalize_sql, plan_key
+
+TWO_WORKERS = ServiceConfig(max_workers=2)
 
 
 @pytest.fixture()
 def stack_service(service_stack):
     system, router, knowledge_base, llm, sqls, _labeled = service_stack
-    service = ExplanationService(system, router, knowledge_base, llm, max_workers=2)
+    service = ExplanationService(system, router, knowledge_base, llm, config=TWO_WORKERS)
     yield service, sqls
     service.shutdown()
 
@@ -67,10 +69,10 @@ def test_l2_hit_shares_the_cached_question(stack_service):
 def test_l2_hit_answers_like_a_fresh_miss(service_stack):
     system, router, knowledge_base, llm, sqls, _labeled = service_stack
     sql = sqls[2]
-    with ExplanationService(system, router, knowledge_base, llm, max_workers=2) as warmed:
+    with ExplanationService(system, router, knowledge_base, llm, config=TWO_WORKERS) as warmed:
         warmed.explain(sql, user_notes="prime the plan cache")
         hit = warmed.explain(sql, user_notes="why is AP faster?")
-    with ExplanationService(system, router, knowledge_base, llm, max_workers=2) as fresh:
+    with ExplanationService(system, router, knowledge_base, llm, config=TWO_WORKERS) as fresh:
         miss = fresh.explain(sql, user_notes="why is AP faster?")
     assert hit.plan_cache_hit and not miss.plan_cache_hit
     assert hit.explanation.text == miss.explanation.text

@@ -116,7 +116,7 @@ def test_plan_cache_skips_replanning_after_kb_write(service, service_stack):
 def test_queue_full_returns_typed_rejection(service_stack):
     system, router, kb, llm, sqls, _labeled = service_stack
     with ExplanationService(
-        system, router, kb, llm, max_workers=1, max_in_flight=1
+        system, router, kb, llm, config=ServiceConfig(max_workers=1, max_in_flight=1)
     ) as service:
         futures = [service.submit(sqls[i % len(sqls)]) for i in range(12)]
         results = [future.result() for future in futures]
@@ -143,7 +143,7 @@ def test_shutdown_rejects_new_requests(service_stack):
 
 def test_shutdown_does_not_wait_for_a_scheduler_poll(service_stack):
     system, router, kb, llm, sqls, _labeled = service_stack
-    service = ExplanationService(system, router, kb, llm, max_workers=2)
+    service = ExplanationService(system, router, kb, llm, config=ServiceConfig(max_workers=2))
     assert service.explain(sqls[0]).ok
     start = time.perf_counter()
     service.shutdown()
@@ -188,10 +188,35 @@ def test_each_rejection_counted_once_and_only_service_caused_ones_burn(service_s
     assert sum(snapshot.get(key, 0) for key in availability.bad) == 3
 
 
+def test_shutdown_mid_request_resolves_service_closed_counted_once(service_stack):
+    """A cold request still in flight when ``shutdown(wait=False)`` closes
+    the batcher is a lifecycle outcome, not an internal error."""
+    system, router, kb, llm, sqls, _labeled = service_stack
+    service = ExplanationService(system, router, kb, llm, config=ServiceConfig(max_workers=1))
+    gate = threading.Event()
+    run_both = system.run_both
+    system.run_both = lambda sql: gate.wait(10.0) and run_both(sql)
+    try:
+        pending = service.submit(sqls[0])
+        service.shutdown(wait=False)
+        gate.set()
+        result = pending.result(timeout=10.0)
+    finally:
+        gate.set()
+        del system.run_both
+    assert result.status is RequestStatus.FAILED
+    assert result.error.code is ServiceErrorCode.SERVICE_CLOSED
+    assert not result.error.retryable
+    snapshot = service.metrics_snapshot()
+    assert snapshot["requests.rejected.service_closed"] == 1
+    assert snapshot.get("requests.failed", 0) == 0
+    assert snapshot["in_flight"] == 0
+
+
 # ---------------------------------------------------------------- deadlines
 def test_expired_deadline_is_typed_failure(service_stack):
     system, router, kb, llm, sqls, _labeled = service_stack
-    with ExplanationService(system, router, kb, llm, max_workers=2) as service:
+    with ExplanationService(system, router, kb, llm, config=ServiceConfig(max_workers=2)) as service:
         result = service.explain(sqls[0], deadline_seconds=1e-9)
         assert result.status is RequestStatus.FAILED
         assert result.error.code is ServiceErrorCode.DEADLINE_EXCEEDED
@@ -205,7 +230,7 @@ def test_stalled_encoder_resolves_at_deadline(service_stack):
     release = threading.Event()
     embed_batch = router.embed_batch
     router.embed_batch = lambda *args, **kwargs: release.wait(30.0) and embed_batch(*args, **kwargs)
-    service = ExplanationService(system, router, kb, llm, max_workers=2)
+    service = ExplanationService(system, router, kb, llm, config=ServiceConfig(max_workers=2))
     try:
         result = service.submit(sqls[0], deadline_seconds=0.2).result(timeout=2.0)
         assert result.status is RequestStatus.FAILED

@@ -8,7 +8,7 @@ import queue
 import pytest
 
 from repro.knowledge.knowledge_base import KnowledgeBase
-from repro.service import ExplanationService
+from repro.service import ExplanationService, ServiceConfig
 from repro.service.batching import WeightedFairQueue
 from repro.service.cache import ServiceCache
 from repro.service.fingerprint import request_cache_key, sql_fingerprint
@@ -186,9 +186,11 @@ def test_service_quota_rejection_and_tenant_isolation(service_stack):
         router,
         tenant_kb,
         llm,
-        max_workers=2,
-        max_in_flight=32,
-        tenants=(TenantConfig(name="tiny", requests_per_second=0.001, burst=2.0),),
+        config=ServiceConfig(
+            max_workers=2,
+            max_in_flight=32,
+            tenants=(TenantConfig(name="tiny", requests_per_second=0.001, burst=2.0),),
+        ),
     )
     assert svc.knowledge_base is tenant_kb
     try:
