@@ -37,7 +37,8 @@ class NoRagExplainer:
             faster_engine=execution.faster_engine,
         )
         prompt = self.prompt_builder.build(question, knowledge=[], user_notes=user_notes)
-        response = self.llm.generate(LLMRequest(prompt=prompt.text, attachments=prompt.attachments()))
+        prompt_text = prompt.text
+        response = self.llm.generate(LLMRequest(prompt=prompt_text, attachments=prompt.attachments()))
         winner_value = response.claims.get("winner")
         claimed_winner = EngineKind(winner_value) if winner_value in ("TP", "AP") else None
         return BaselineExplanation(
@@ -49,7 +50,7 @@ class NoRagExplainer:
                 llm_thinking_seconds=response.thinking_seconds,
                 llm_generation_seconds=response.generation_seconds,
             ),
-            prompt_text=prompt.text,
+            prompt_text=prompt_text,
         )
 
     def explain_sql(self, sql: str, *, user_notes: str | None = None) -> BaselineExplanation:

@@ -156,12 +156,13 @@ class ExperimentHarness:
         builder = PromptBuilder(data_size_gb=100.0)
         example = self.example1()
         prompt = example.our_explanation.prompt
+        prompt_text = prompt.text
         return {
             "table_i": builder.table_i_rows(),
-            "prompt_chars": len(prompt.text),
+            "prompt_chars": len(prompt_text),
             "knowledge_blocks": len(prompt.knowledge),
-            "contains_cost_guard": "not allowed to compare the cost estimates" in prompt.text,
-            "contains_question": "QUESTION:" in prompt.text,
+            "contains_cost_guard": "not allowed to compare the cost estimates" in prompt_text,
+            "contains_question": "QUESTION:" in prompt_text,
         }
 
     # ------------------------------------------------ E3/E4: Example 1 outputs

@@ -17,13 +17,13 @@ by an expert, and inserted into the knowledge base via
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.htap.engines.base import EngineKind
-from repro.htap.plan.serialize import plan_to_dict
 from repro.htap.system import HTAPSystem, PlanPair, QueryExecution
 from repro.knowledge.entry import KnowledgeEntry
 from repro.knowledge.knowledge_base import (
@@ -85,10 +85,7 @@ def entries_from_labeled(
                 entry_id=labeled.query_id,
                 embedding=embedding,
                 sql=labeled.sql,
-                plan_details={
-                    "TP": plan_to_dict(execution.plan_pair.tp_plan),
-                    "AP": plan_to_dict(execution.plan_pair.ap_plan),
-                },
+                plan_details_json=json.dumps(execution.plan_pair.explain_dicts()),
                 faster_engine=execution.faster_engine,
                 tp_latency_seconds=execution.tp_result.latency_seconds,
                 ap_latency_seconds=execution.ap_result.latency_seconds,

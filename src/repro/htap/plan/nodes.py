@@ -41,10 +41,14 @@ class NodeType(enum.Enum):
 
     @classmethod
     def from_display_name(cls, name: str) -> "NodeType":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown plan node type {name!r}")
+        try:
+            return _NODE_TYPES[name]
+        except KeyError:
+            raise ValueError(f"unknown plan node type {name!r}") from None
+
+
+#: Display name -> node type, for parsing EXPLAIN output.
+_NODE_TYPES = {member.value: member for member in NodeType}
 
 
 #: Node types that implement a join.

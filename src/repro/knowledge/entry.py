@@ -26,8 +26,9 @@ class KnowledgeEntry:
     embedding: np.ndarray
     #: Original SQL of the historical query.
     sql: str
-    #: Plan details for both engines in EXPLAIN-dict form ({"TP": ..., "AP": ...}).
-    plan_details: dict[str, Any]
+    #: Plan details for both engines as EXPLAIN JSON text, ``{"TP": ..., "AP": ...}``,
+    #: rendered once, exactly as the KNOWLEDGE block shows it.
+    plan_details_json: str
     #: Which engine executed the query faster.
     faster_engine: EngineKind
     #: Measured latencies in seconds.

@@ -8,9 +8,12 @@ thinking/generation timings the latency benchmark needs.
 
 ``LLMRequest.attachments`` carries the *structured* form of the prompt
 (retrieved knowledge entries and the question's plan pair).  Hosted clients
-ignore it — they only see ``prompt`` — but the offline simulator consumes it
-instead of re-parsing its own prompt text; this is part of the offline LLM
-substitution described in README.md.
+ignore it — they only see ``prompt``, the text
+:class:`~repro.llm.prompts.PromptPayload` renders when it is read — but the
+offline simulator consumes it instead of re-parsing its own prompt text.
+It parses only the QUESTION's two plans, from the EXPLAIN JSON text the
+prompt embeds, into plan trees for its structural reasoning.  This is part
+of the offline LLM substitution described in README.md.
 """
 
 from __future__ import annotations

@@ -6,19 +6,22 @@ KNOWLEDGE blocks and the QUESTION block.  The wording of the three fixed
 parts follows the paper's Table I closely, including the instruction that
 cost estimates from the two engines must not be compared.
 
-:class:`PromptBuilder` assembles both the flat prompt text (what a hosted
-LLM would receive) and the structured :class:`PromptPayload` (what the
-offline simulator consumes).
+:class:`PromptBuilder` assembles the structured :class:`PromptPayload`
+(what the offline simulator consumes).  Every plan in it is already the
+EXPLAIN JSON text the prompt shows, rendered once where it is created: the
+QUESTION's two plans in :class:`QuestionAttachment`, each KNOWLEDGE block's
+plan pair on its knowledge-base entry.  The payload renders the flat prompt
+text (what a hosted LLM would receive) when :attr:`PromptPayload.text` is
+read, and does not keep it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.htap.engines.base import EngineKind
-from repro.htap.plan.serialize import plan_to_dict
+from repro.htap.plan.serialize import plan_to_json
 from repro.htap.system import PlanPair
 from repro.knowledge.entry import KnowledgeEntry
 
@@ -52,18 +55,25 @@ TASK_TEMPLATE = (
     "I provide to generate your explanation. Now, I am ready to send you the KNOWLEDGE and QUESTION."
 )
 
+#: The background sentence the cost-guard ablation removes.
+_COST_GUARD = (
+    " Therefore, you are not allowed to compare the cost estimates of the execution plans from "
+    "TP and AP engines."
+)
+
 DEFAULT_USER_CONTEXT = (
     "Additional user context: Beyond the default indexes on primary keys, no further secondary "
     "indexes exist unless stated otherwise."
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeAttachment:
     """Structured form of one retrieved KNOWLEDGE block."""
 
     sql: str
-    plan_details: dict[str, Any]
+    #: The entry's plan pair as EXPLAIN JSON text, ``{"TP": ..., "AP": ...}``.
+    plan_details_json: str
     faster_engine: EngineKind
     execution_result: str
     expert_explanation: str
@@ -74,7 +84,7 @@ class KnowledgeAttachment:
     def from_entry(cls, entry: KnowledgeEntry, similarity: float) -> "KnowledgeAttachment":
         return cls(
             sql=entry.sql,
-            plan_details=entry.plan_details,
+            plan_details_json=entry.plan_details_json,
             faster_engine=entry.faster_engine,
             execution_result=entry.execution_result_text,
             expert_explanation=entry.expert_explanation,
@@ -87,13 +97,15 @@ class KnowledgeAttachment:
 class QuestionAttachment:
     """Structured form of the QUESTION block: the EXPLAIN form of one query.
 
-    Frozen because one instance is shared: the service's L2 plan cache
-    stores it, and every explanation built from that entry points at it.
+    Each plan is kept as the JSON text the prompt shows, rendered once
+    here.  Frozen because one instance is shared: the service's L2 plan
+    cache stores it, and every explanation built from that entry points
+    at it.
     """
 
     sql: str
-    tp_plan: dict[str, Any]
-    ap_plan: dict[str, Any]
+    tp_plan_json: str
+    ap_plan_json: str
     execution_result: str | None
     faster_engine: EngineKind | None
 
@@ -106,25 +118,50 @@ class QuestionAttachment:
         faster_engine: EngineKind | None = None,
     ) -> "QuestionAttachment":
         """The QUESTION for ``plan_pair``: its SQL and both plans in the
-        paper's EXPLAIN dictionary format."""
+        paper's EXPLAIN JSON format."""
         return cls(
             sql=plan_pair.query.raw_sql,
-            tp_plan=plan_to_dict(plan_pair.tp_plan),
-            ap_plan=plan_to_dict(plan_pair.ap_plan),
+            tp_plan_json=plan_to_json(plan_pair.tp_plan),
+            ap_plan_json=plan_to_json(plan_pair.ap_plan),
             execution_result=execution_result,
             faster_engine=faster_engine,
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PromptPayload:
-    """Full prompt: flat text plus its structured attachments."""
+    """One built prompt: its structured attachments, and its flat text.
 
-    text: str
-    knowledge: list[KnowledgeAttachment] = field(default_factory=list)
-    question: QuestionAttachment | None = None
-    forbid_cost_comparison: bool = True
-    user_context: str = DEFAULT_USER_CONTEXT
+    The text is not stored.  :attr:`text` renders it on each read from the
+    fields below, which :meth:`PromptBuilder.build` fixed, so a cached
+    explanation holds only the attachments it shares with the knowledge
+    base and the plan cache, not a second, larger copy of them.
+    """
+
+    question: QuestionAttachment
+    knowledge: list[KnowledgeAttachment]
+    user_context: str
+    forbid_cost_comparison: bool
+    #: The dataset size the background section reports.
+    data_size_gb: float
+
+    @property
+    def text(self) -> str:
+        """The flat prompt a hosted LLM would receive."""
+        text = "\n\n".join(
+            [
+                BACKGROUND_TEMPLATE.format(data_size_gb=self.data_size_gb),
+                TASK_TEMPLATE,
+                self.user_context,
+                PromptBuilder.knowledge_section(self.knowledge),
+                PromptBuilder.question_section(self.question),
+            ]
+        )
+        if not self.forbid_cost_comparison:
+            # The ablation that drops the "do not compare costs" guard simply
+            # removes the sentence from the background section.
+            text = text.replace(_COST_GUARD, "")
+        return text
 
     def attachments(self) -> dict[str, Any]:
         """The dictionary placed on :class:`repro.llm.client.LLMRequest`."""
@@ -136,27 +173,15 @@ class PromptPayload:
         }
 
 
+@dataclass(kw_only=True)
 class PromptBuilder:
     """Assembles Table-I-style prompts.
 
-    Parameters
-    ----------
-    data_size_gb:
-        Reported dataset size in the background section (100 GB in the paper).
-    include_background / include_task:
-        Allow ablations that strip parts of the prompt.
+    ``data_size_gb`` is the dataset size reported in the background section
+    (100 GB in the paper).
     """
 
-    def __init__(
-        self,
-        *,
-        data_size_gb: float = 100.0,
-        include_background: bool = True,
-        include_task: bool = True,
-    ):
-        self.data_size_gb = data_size_gb
-        self.include_background = include_background
-        self.include_task = include_task
+    data_size_gb: float = 100.0
 
     # --------------------------------------------------------------- sections
     def background_section(self) -> str:
@@ -178,7 +203,7 @@ class PromptBuilder:
             blocks.append(
                 f"KNOWLEDGE {index}:\n"
                 f"Historical query: {attachment.sql}\n"
-                f"Historical plan pair: {json.dumps(attachment.plan_details)}\n"
+                f"Historical plan pair: {attachment.plan_details_json}\n"
                 f"Historical execution result: {attachment.execution_result}\n"
                 f"Historical expert explanation: {attachment.expert_explanation}"
             )
@@ -196,8 +221,8 @@ class PromptBuilder:
         return (
             "QUESTION:\n"
             f"New query: {question.sql}\n"
-            f"New TP plan: {json.dumps(question.tp_plan)}\n"
-            f"New AP plan: {json.dumps(question.ap_plan)}\n"
+            f"New TP plan: {question.tp_plan_json}\n"
+            f"New AP plan: {question.ap_plan_json}\n"
             f"{result_line}"
         )
 
@@ -210,35 +235,14 @@ class PromptBuilder:
         user_notes: str | None = None,
         forbid_cost_comparison: bool = True,
     ) -> PromptPayload:
-        """Assemble the full prompt for one explanation request."""
-        knowledge = knowledge or []
-        sections: list[str] = []
-        if self.include_background:
-            sections.append(self.background_section())
-        if self.include_task:
-            sections.append(self.task_section())
-        user_context = self.user_context_section(user_notes)
-        sections.append(user_context)
-        sections.append(self.knowledge_section(knowledge))
-        sections.append(self.question_section(question))
-        if not forbid_cost_comparison:
-            # The ablation that drops the "do not compare costs" guard simply
-            # removes the sentence from the background section.
-            sections = [
-                section.replace(
-                    " Therefore, you are not allowed to compare the cost estimates of the "
-                    "execution plans from TP and AP engines.",
-                    "",
-                )
-                for section in sections
-            ]
-        text = "\n\n".join(sections)
+        """Assemble the full prompt for one explanation request; its text is
+        rendered when :attr:`PromptPayload.text` is read."""
         return PromptPayload(
-            text=text,
-            knowledge=list(knowledge),
             question=question,
+            knowledge=list(knowledge or []),
+            user_context=self.user_context_section(user_notes),
             forbid_cost_comparison=forbid_cost_comparison,
-            user_context=user_context,
+            data_size_gb=self.data_size_gb,
         )
 
     def table_i_rows(self) -> dict[str, str]:

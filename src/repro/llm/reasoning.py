@@ -19,12 +19,11 @@ The same signals are used two ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.htap.engines.base import EngineKind
-from repro.htap.plan.nodes import NodeType
+from repro.htap.plan.nodes import NodeType, PlanNode
 from repro.htap.plan.properties import PlanProperties, analyze_plan
-from repro.htap.plan.serialize import plan_from_dict
+from repro.htap.plan.serialize import plan_from_json
 from repro.workloads.labeling import ExplanationFactor
 
 #: SQL functions that, applied to a column, defeat a B+-tree index on it.
@@ -52,8 +51,10 @@ class StructuralSignals:
     sql_wraps_column_in_function: bool
     tp_scanned_rows: float
     ap_scanned_rows: float
-    tp_total_cost: float
-    ap_total_cost: float
+    #: Root cost estimates; ``None`` unless :func:`extract_signals_with_costs`
+    #: was asked for them.
+    tp_total_cost: float | None = None
+    ap_total_cost: float | None = None
 
     @property
     def is_small_query(self) -> bool:
@@ -64,10 +65,28 @@ class StructuralSignals:
         return self.tp_scanned_rows > 10 * _SMALL_ROWS
 
 
-def extract_signals(sql: str, tp_plan_dict: dict[str, Any], ap_plan_dict: dict[str, Any]) -> StructuralSignals:
-    """Compute :class:`StructuralSignals` from the QUESTION attachment."""
-    tp_plan = plan_from_dict(tp_plan_dict)
-    ap_plan = plan_from_dict(ap_plan_dict)
+def extract_signals(sql: str, tp_plan_json: str, ap_plan_json: str) -> StructuralSignals:
+    """Compute :class:`StructuralSignals` from the QUESTION attachment's
+    SQL and EXPLAIN-JSON plans."""
+    return _signals(sql, plan_from_json(tp_plan_json), plan_from_json(ap_plan_json))
+
+
+def extract_signals_with_costs(sql: str, tp_plan_json: str, ap_plan_json: str) -> StructuralSignals:
+    """Like :func:`extract_signals` but also records the root cost estimates.
+
+    Kept separate so the cost figures are only available to reasoning paths
+    that are *allowed* to look at them (the cost-comparison bias of the
+    un-grounded baseline).
+    """
+    tp_plan = plan_from_json(tp_plan_json)
+    ap_plan = plan_from_json(ap_plan_json)
+    signals = _signals(sql, tp_plan, ap_plan)
+    signals.tp_total_cost = tp_plan.total_cost
+    signals.ap_total_cost = ap_plan.total_cost
+    return signals
+
+
+def _signals(sql: str, tp_plan: PlanNode, ap_plan: PlanNode) -> StructuralSignals:
     tp_properties = analyze_plan(tp_plan)
     ap_properties = analyze_plan(ap_plan)
 
@@ -106,24 +125,7 @@ def extract_signals(sql: str, tp_plan_dict: dict[str, Any], ap_plan_dict: dict[s
         sql_wraps_column_in_function=wraps_function,
         tp_scanned_rows=tp_properties.total_scanned_rows,
         ap_scanned_rows=ap_properties.total_scanned_rows,
-        tp_total_cost=tp_properties.estimated_output_rows,  # placeholder, replaced below
-        ap_total_cost=ap_properties.estimated_output_rows,
     )
-
-
-def extract_signals_with_costs(
-    sql: str, tp_plan_dict: dict[str, Any], ap_plan_dict: dict[str, Any]
-) -> StructuralSignals:
-    """Like :func:`extract_signals` but also records the root cost estimates.
-
-    Kept separate so the cost figures are only available to reasoning paths
-    that are *allowed* to look at them (the cost-comparison bias of the
-    un-grounded baseline).
-    """
-    signals = extract_signals(sql, tp_plan_dict, ap_plan_dict)
-    signals.tp_total_cost = float(tp_plan_dict.get("Total Cost", 0.0))
-    signals.ap_total_cost = float(ap_plan_dict.get("Total Cost", 0.0))
-    return signals
 
 
 def factor_applies(factor_value: str, signals: StructuralSignals) -> bool:

@@ -177,7 +177,7 @@ class SimulatedLLM(LLMClient):
             )
             return self._response(text, rng, knowledge_count=0, claims={"is_none": False})
 
-        signals = extract_signals_with_costs(question.sql, question.tp_plan, question.ap_plan)
+        signals = extract_signals_with_costs(question.sql, question.tp_plan_json, question.ap_plan_json)
         if knowledge:
             text, claims = self._grounded_answer(question, knowledge, signals, rng, request.temperature)
         else:

@@ -7,14 +7,16 @@ knowledge-base writes:
 
 * **L1 — explanation cache**: ``request_cache_key -> Explanation``.  A hit
   serves the finished answer without touching planner, router, knowledge
-  base, or LLM.  Invalidated by knowledge-base writes (retrieval grounding
-  changed) and by DDL (plans changed).
+  base, or LLM.  The explanation's prompt keeps its attachments and renders
+  its text only when read.  Invalidated by knowledge-base writes (retrieval
+  grounding changed) and by DDL (plans changed).
 * **L2 — plan cache**: ``sql_fingerprint -> (question, embedding)``, where
   ``question`` is the :class:`~repro.llm.prompts.QuestionAttachment` (the
-  EXPLAIN-form plan pair plus the execution result) that every explanation
-  built from the entry shares.  A hit skips parse → optimize → execute →
-  encode and goes straight to retrieval + generation.  Invalidated by DDL
-  only; knowledge-base writes do not change plans or embeddings.
+  plan pair as EXPLAIN JSON text plus the execution result) that every
+  explanation built from the entry shares.  A hit skips parse → optimize →
+  execute → encode and goes straight to retrieval + generation.
+  Invalidated by DDL only; knowledge-base writes do not change plans or
+  embeddings.
 
 Both caches are safe to use from many worker threads.
 """

@@ -434,9 +434,9 @@ class ExplanationService:
                 message = "service shut down while the request was in flight"
                 return self._cut_short(request, root, queue_seconds, ServiceErrorCode.SERVICE_CLOSED, message)
             encode_seconds = time.perf_counter() - encode_start
-            # The L2 entry keeps only the QUESTION (the EXPLAIN-form plan
-            # pair and execution result); the parsed query, plan trees and
-            # execution results die with this request.
+            # The L2 entry keeps only the QUESTION (the plan pair as EXPLAIN
+            # JSON text, and the execution result); the parsed query, plan
+            # trees and execution results die with this request.
             question = QuestionAttachment.from_plan_pair(
                 execution.plan_pair,
                 execution_result=execution_result_text(execution),

@@ -1,5 +1,7 @@
 """Tests for the RAG pipeline, the evaluation panel, feedback, and timing."""
 
+import json
+
 import pytest
 
 from repro.explainer.evaluation import AccuracyReport, ExpertPanel, Grade
@@ -19,7 +21,7 @@ def test_entries_from_labeled_capture_all_fields(labeled_workload, trained_route
         assert entry.entry_id == labeled.query_id
         assert entry.embedding.shape == (16,)
         assert entry.faster_engine is labeled.faster_engine
-        assert set(entry.plan_details) == {"TP", "AP"}
+        assert set(json.loads(entry.plan_details_json)) == {"TP", "AP"}
         assert entry.expert_explanation
         assert entry.factors
         assert entry.metadata["pattern"] == labeled.workload_query.pattern.value

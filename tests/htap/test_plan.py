@@ -1,13 +1,22 @@
 """Tests for plan nodes, serialization, derived properties, and diffing."""
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.htap.plan.diff import diff_plans
 from repro.htap.plan.nodes import NodeType, PlanNode
 from repro.htap.plan.properties import analyze_plan, compare_properties
-from repro.htap.plan.serialize import plan_from_dict, plan_to_dict, plan_to_json, plan_pair_to_dict
+from repro.htap.plan.serialize import (
+    plan_from_dict,
+    plan_from_json,
+    plan_pair_to_dict,
+    plan_to_dict,
+    plan_to_json,
+)
+from repro.workloads.generator import WorkloadGenerator
 
 
 def _small_tp_plan() -> PlanNode:
@@ -112,6 +121,54 @@ def test_plan_to_json_is_valid_json():
 def test_plan_from_dict_requires_node_type():
     with pytest.raises(ValueError):
         plan_from_dict({"Total Cost": 1.0})
+
+
+def test_plan_from_json_matches_plan_from_dict_on_generated_plans(system):
+    generator = WorkloadGenerator(seed=3)
+    for query in generator.generate(500):
+        pair = system.explain_pair(query.sql)
+        for plan in (pair.tp_plan, pair.ap_plan):
+            explain = plan_to_dict(plan)
+            from_json = plan_from_json(json.dumps(explain))
+            from_dict = plan_from_dict(explain)
+            assert plan_to_dict(from_json) == plan_to_dict(from_dict) == explain
+            assert from_json == from_dict
+
+
+def test_plan_from_json_is_safe_across_threads(system):
+    """Service workers share one decoder; its hook runs Python code, so
+    threads can switch in the middle of a parse."""
+    generator = WorkloadGenerator(seed=4)
+    pairs = [system.explain_pair(query.sql) for query in generator.generate(40)]
+    texts = [plan_to_json(plan) for pair in pairs for plan in (pair.tp_plan, pair.ap_plan)]
+    expected = [plan_from_dict(json.loads(text)) for text in texts]
+    mismatches: list[int] = []
+
+    def parse_all() -> None:
+        for _ in range(5):
+            for index, text in enumerate(texts):
+                if plan_from_json(text) != expected[index]:
+                    mismatches.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_all) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_plan_from_json_requires_node_type():
+    with pytest.raises(ValueError):
+        plan_from_json('{"Total Cost": 1.0}')
+    with pytest.raises(ValueError):
+        plan_from_json('{"Node Type": "Filter", "Plans": [{"Total Cost": 1.0}]}')
 
 
 def test_plan_pair_to_dict_has_both_engines():

@@ -18,7 +18,7 @@ def _entry(entry_id: str, vector, faster=EngineKind.AP, factors=("hash_join_vs_n
         entry_id=entry_id,
         embedding=np.asarray(vector, dtype=float),
         sql=f"SELECT * FROM orders -- {entry_id}",
-        plan_details={"TP": {"Node Type": "Table Scan"}, "AP": {"Node Type": "Table Scan"}},
+        plan_details_json='{"TP": {"Node Type": "Table Scan"}, "AP": {"Node Type": "Table Scan"}}',
         faster_engine=faster,
         tp_latency_seconds=5.0,
         ap_latency_seconds=0.3,

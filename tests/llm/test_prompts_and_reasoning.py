@@ -1,6 +1,10 @@
 """Tests for prompt assembly (Table I) and structural plan reasoning."""
 
+import dataclasses
+import json
+
 import numpy as np
+import pytest
 
 from repro.htap.engines.base import EngineKind
 from repro.htap.plan.serialize import plan_to_dict
@@ -14,8 +18,8 @@ def _question(system, sql, execution=None) -> QuestionAttachment:
     pair = system.explain_pair(sql)
     return QuestionAttachment(
         sql=sql,
-        tp_plan=plan_to_dict(pair.tp_plan),
-        ap_plan=plan_to_dict(pair.ap_plan),
+        tp_plan_json=json.dumps(plan_to_dict(pair.tp_plan)),
+        ap_plan_json=json.dumps(plan_to_dict(pair.ap_plan)),
         execution_result=None if execution is None else execution,
         faster_engine=None,
     )
@@ -39,8 +43,8 @@ def test_question_from_plan_pair_is_the_explain_form(system, example1_sql):
     question = QuestionAttachment.from_plan_pair(pair)
     assert question == QuestionAttachment(
         sql=pair.query.raw_sql,
-        tp_plan=plan_to_dict(pair.tp_plan),
-        ap_plan=plan_to_dict(pair.ap_plan),
+        tp_plan_json=json.dumps(plan_to_dict(pair.tp_plan)),
+        ap_plan_json=json.dumps(plan_to_dict(pair.ap_plan)),
         execution_result=None,
         faster_engine=None,
     )
@@ -57,7 +61,7 @@ def test_prompt_contains_knowledge_and_question(system, example1_sql):
         entry_id="k1",
         embedding=np.zeros(4),
         sql="SELECT COUNT(*) FROM orders;",
-        plan_details={"TP": {}, "AP": {}},
+        plan_details_json='{"TP": {}, "AP": {}}',
         faster_engine=EngineKind.AP,
         tp_latency_seconds=4.0,
         ap_latency_seconds=0.4,
@@ -89,10 +93,31 @@ def test_cost_guard_can_be_ablated(system, example1_sql):
     assert "not allowed to compare the cost estimates" not in unguarded.text
 
 
+def test_payload_renders_its_text_from_values_fixed_at_build(system, example1_sql):
+    builder = PromptBuilder(data_size_gb=100.0)
+    question = _question(system, example1_sql)
+    payload = builder.build(question, user_notes="An index exists on c_phone.")
+    assert "text" not in vars(payload)
+    rendered = payload.text
+    assert rendered == "\n\n".join(
+        [
+            builder.background_section(),
+            builder.task_section(),
+            "Additional user context: An index exists on c_phone.",
+            builder.knowledge_section([]),
+            builder.question_section(question),
+        ]
+    )
+    builder.data_size_gb = 1.0
+    assert payload.text == rendered
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        payload.user_context = "changed"
+
+
 # --------------------------------------------------------------- reasoning
 def test_signals_for_example1(system, example1_sql):
     question = _question(system, example1_sql)
-    signals = extract_signals(example1_sql, question.tp_plan, question.ap_plan)
+    signals = extract_signals(example1_sql, question.tp_plan_json, question.ap_plan_json)
     assert signals.tp_uses_nested_loop
     assert signals.ap_uses_hash_join
     assert not signals.tp_uses_index
@@ -103,14 +128,23 @@ def test_signals_for_example1(system, example1_sql):
 
 def test_signals_with_costs_exposes_root_costs(system, example1_sql):
     question = _question(system, example1_sql)
-    signals = extract_signals_with_costs(example1_sql, question.tp_plan, question.ap_plan)
+    signals = extract_signals_with_costs(example1_sql, question.tp_plan_json, question.ap_plan_json)
     assert signals.ap_total_cost > signals.tp_total_cost > 0
+    assert signals.tp_total_cost == json.loads(question.tp_plan_json)["Total Cost"]
+    assert signals.ap_total_cost == json.loads(question.ap_plan_json)["Total Cost"]
+
+
+def test_plain_signals_carry_no_costs(system, example1_sql):
+    question = _question(system, example1_sql)
+    signals = extract_signals(example1_sql, question.tp_plan_json, question.ap_plan_json)
+    assert signals.tp_total_cost is None
+    assert signals.ap_total_cost is None
 
 
 def test_signals_for_topn_offset(system):
     sql = "SELECT l_orderkey FROM lineitem ORDER BY l_extendedprice DESC LIMIT 10 OFFSET 10000;"
     question = _question(system, sql)
-    signals = extract_signals(sql, question.tp_plan, question.ap_plan)
+    signals = extract_signals(sql, question.tp_plan_json, question.ap_plan_json)
     assert signals.has_top_n
     assert signals.offset_rows >= 10_000
     assert signals.limit_rows == 10
@@ -118,7 +152,7 @@ def test_signals_for_topn_offset(system):
 
 def test_factor_applies_consistency(system, example1_sql):
     question = _question(system, example1_sql)
-    signals = extract_signals(example1_sql, question.tp_plan, question.ap_plan)
+    signals = extract_signals(example1_sql, question.tp_plan_json, question.ap_plan_json)
     assert factor_applies(ExplanationFactor.HASH_JOIN_VS_NESTED_LOOP.value, signals)
     assert factor_applies(ExplanationFactor.NO_USABLE_INDEX.value, signals)
     assert factor_applies(ExplanationFactor.INDEX_DEFEATED_BY_FUNCTION.value, signals)
@@ -129,7 +163,7 @@ def test_factor_applies_consistency(system, example1_sql):
 
 def test_hypothesize_factors_respects_winner(system, example1_sql):
     question = _question(system, example1_sql)
-    signals = extract_signals(example1_sql, question.tp_plan, question.ap_plan)
+    signals = extract_signals(example1_sql, question.tp_plan_json, question.ap_plan_json)
     ap_factors = hypothesize_factors(signals, EngineKind.AP)
     assert ap_factors[0] == ExplanationFactor.HASH_JOIN_VS_NESTED_LOOP.value
     tp_factors = hypothesize_factors(signals, EngineKind.TP)
@@ -139,6 +173,6 @@ def test_hypothesize_factors_respects_winner(system, example1_sql):
 def test_hypothesize_factors_point_lookup(system):
     sql = "SELECT o_totalprice FROM orders WHERE o_orderkey = 99;"
     question = _question(system, sql)
-    signals = extract_signals(sql, question.tp_plan, question.ap_plan)
+    signals = extract_signals(sql, question.tp_plan_json, question.ap_plan_json)
     factors = hypothesize_factors(signals, EngineKind.TP)
     assert ExplanationFactor.SELECTIVE_INDEX_ACCESS.value in factors

@@ -1,5 +1,7 @@
 """Tests for the offline simulated LLM."""
 
+import json
+
 import pytest
 
 from repro.htap.engines.base import EngineKind
@@ -14,8 +16,8 @@ def _question(system, sql, faster=None) -> QuestionAttachment:
     result_text = None if faster is None else f"{faster.value} was faster"
     return QuestionAttachment(
         sql=sql,
-        tp_plan=plan_to_dict(pair.tp_plan),
-        ap_plan=plan_to_dict(pair.ap_plan),
+        tp_plan_json=json.dumps(plan_to_dict(pair.tp_plan)),
+        ap_plan_json=json.dumps(plan_to_dict(pair.ap_plan)),
         execution_result=result_text,
         faster_engine=faster,
     )
@@ -27,7 +29,7 @@ def _knowledge(sql="SELECT COUNT(*) FROM orders, customer WHERE o_custkey = c_cu
                similarity=0.95) -> KnowledgeAttachment:
     return KnowledgeAttachment(
         sql=sql,
-        plan_details={"TP": {}, "AP": {}},
+        plan_details_json='{"TP": {}, "AP": {}}',
         faster_engine=faster,
         execution_result=f"{faster.value} was faster",
         expert_explanation="Expert text.",

@@ -1,7 +1,7 @@
 """What the L2 plan cache stores: the QUESTION block, shared by explanations.
 
-A miss builds one :class:`QuestionAttachment` (the EXPLAIN-form plan pair
-plus the execution result) and caches ``(question, embedding)``; every
+A miss builds one :class:`QuestionAttachment` (the plan pair as EXPLAIN
+JSON text plus the execution result) and caches ``(question, embedding)``; every
 explanation built from that entry points at the same frozen object, and
 the parsed query, plan trees and execution results are not kept.
 """
@@ -9,6 +9,7 @@ the parsed query, plan trees and execution results are not kept.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -62,8 +63,8 @@ def test_l2_hit_shares_the_cached_question(stack_service):
         question.sql = "SELECT 1"
     # The cached plans are still exactly the optimizer's EXPLAIN output.
     replanned = service.system.explain_pair(sql)
-    assert question.tp_plan == plan_to_dict(replanned.tp_plan)
-    assert question.ap_plan == plan_to_dict(replanned.ap_plan)
+    assert question.tp_plan_json == json.dumps(plan_to_dict(replanned.tp_plan))
+    assert question.ap_plan_json == json.dumps(plan_to_dict(replanned.ap_plan))
 
 
 def test_l2_hit_answers_like_a_fresh_miss(service_stack):

@@ -24,7 +24,7 @@ def make_entry(name: str, rng: np.random.Generator, dim: int = 8) -> KnowledgeEn
         entry_id=name,
         embedding=rng.normal(size=dim),
         sql=f"SELECT * FROM t -- {name}",
-        plan_details="plan",
+        plan_details_json="plan",
         faster_engine="ap",
         tp_latency_seconds=0.2,
         ap_latency_seconds=0.1,
