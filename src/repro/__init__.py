@@ -10,7 +10,7 @@ The package is organised around the paper's architecture (Figure 1):
 * :mod:`repro.baselines` — DBG-PT-style and no-RAG baselines,
 * :mod:`repro.workloads` — synthetic TPC-H workload generation and labeling,
 * :mod:`repro.study` — the simulated participant study,
-* :mod:`repro.bench` — experiment harness shared by the benchmark suite,
+* :mod:`repro.bench` — experiment harness shared by ``benchmarks/`` and the examples,
 * :mod:`repro.service` — the concurrent explanation-serving subsystem
   (multi-level caching, micro-batched router inference, admission control).
 """

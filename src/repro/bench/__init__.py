@@ -1,7 +1,7 @@
-"""Experiment harness, strategy runner, and reporting for the bench suite.
+"""Experiment harness and table formatting for the ``benchmarks/`` suite.
 
 Import the submodules directly (``from repro.bench.harness import
-ExperimentHarness``, ``from repro.bench.strategies import build_suites``):
-the package itself loads nothing, so importing one piece never drags in
-the harness, the baselines or the serving layer.
+ExperimentHarness``, ``from repro.bench.reporting import format_table``):
+the package itself loads nothing, so importing the formatter never drags
+in the harness, the baselines or the serving layer.
 """

@@ -97,8 +97,3 @@ def _node_with_parsed_children(data: dict[str, Any]) -> PlanNode:
 #: Built once: ``json.loads`` with a hook builds a new decoder on every
 #: call, about a fifth of the parse time of one plan pair.
 _PLAN_DECODER = json.JSONDecoder(object_hook=_node_with_parsed_children)
-
-
-def plan_pair_to_dict(tp_plan: PlanNode, ap_plan: PlanNode) -> dict[str, Any]:
-    """Bundle a TP/AP plan pair the way the knowledge base stores plan details."""
-    return {"TP": plan_to_dict(tp_plan), "AP": plan_to_dict(ap_plan)}

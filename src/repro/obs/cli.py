@@ -36,11 +36,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.bench.reporting import format_table
 from repro.obs.jsonlog import read_traces
 from repro.obs.stats import summarize
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.bench.harness import ExperimentHarness
 
 #: Attributes rendered inline next to each span in the tree.
 _MAX_INLINE_ATTRIBUTES = 6
@@ -115,10 +118,29 @@ def breakdown_rows(traces: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
     return rows
 
 
+#: Harness scales ``demo`` and ``serve`` can build.  ``quick`` is the
+#: reduced harness the unit tests use (same code paths, ~seconds to build);
+#: ``paper`` is the full experimental scale of the ``benchmarks/`` suite.
+PROFILES: dict[str, dict[str, int]] = {
+    "quick": {
+        "knowledge_base_size": 12,
+        "test_size": 40,
+        "router_training_size": 60,
+        "router_epochs": 8,
+    },
+    "paper": {},
+}
+
+
+def _build_harness(profile: str) -> "ExperimentHarness":
+    from repro.bench.harness import ExperimentHarness
+
+    return ExperimentHarness(**PROFILES[profile])
+
+
 # --------------------------------------------------------------------- demo
 def _demo(args: argparse.Namespace) -> int:
     # Heavy imports stay local so `repro-trace show/breakdown --help` is instant.
-    from repro.bench.strategies import build_harness
     from repro.obs.jsonlog import TraceLogWriter
     from repro.obs.promtext import merged_exposition
     from repro.obs.store import TraceStore
@@ -126,7 +148,7 @@ def _demo(args: argparse.Namespace) -> int:
     from repro.service import ExplanationService, ServiceConfig
 
     print(f"building harness (profile={args.profile}) ...", flush=True)
-    harness = build_harness(args.profile)
+    harness = _build_harness(args.profile)
     sqls = [labeled.sql for labeled in harness.dataset.test[: max(1, args.requests)]]
     if args.sql:
         sqls = [args.sql]
@@ -178,14 +200,13 @@ def _demo(args: argparse.Namespace) -> int:
 def _serve(args: argparse.Namespace) -> int:
     import time
 
-    from repro.bench.strategies import build_harness
     from repro.obs.sampling import Sampler
     from repro.obs.store import TraceStore
     from repro.obs.tracing import traced
     from repro.service import ExplanationService, ServiceConfig
 
     print(f"building harness (profile={args.profile}) ...", flush=True)
-    harness = build_harness(args.profile)
+    harness = _build_harness(args.profile)
     sqls = [labeled.sql for labeled in harness.dataset.test[: max(1, args.requests)]]
     sampler = Sampler(
         head_probability=args.head_probability,
@@ -297,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     demo = commands.add_parser("demo", help="serve traced requests and print the results")
-    demo.add_argument("--profile", choices=("quick", "paper"), default="quick")
+    demo.add_argument("--profile", choices=tuple(PROFILES), default="quick")
     demo.add_argument("--requests", type=int, default=4, help="how many test queries to serve")
     demo.add_argument("--sql", default=None, help="serve this SQL instead of test queries")
     demo.add_argument("--jsonl", default=None, help="also append traces to this JSON-lines file")
@@ -315,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run a traced service with the admin HTTP endpoints"
     )
-    serve.add_argument("--profile", choices=("quick", "paper"), default="quick")
+    serve.add_argument("--profile", choices=tuple(PROFILES), default="quick")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0, help="0 binds an ephemeral port")
     serve.add_argument("--requests", type=int, default=8, help="requests pre-served at startup")

@@ -2,10 +2,9 @@
 
 One convention, used everywhere a percentile is reported — the serving-layer
 histograms (:mod:`repro.service.metrics`), the harness experiments
-(:meth:`~repro.bench.harness.ExperimentHarness.router_benchmark`), and the
-``BENCH_*.json`` exporter (:mod:`repro.bench.export`) — so a p95 in one
-report can be compared against a p95 in another without wondering which
-interpolation each used.
+(:mod:`repro.bench.harness`) and the ``repro-trace breakdown`` table
+(:mod:`repro.obs.cli`) — so a p95 in one report can be compared against a
+p95 in another without wondering which interpolation each used.
 
 The convention is *nearest-rank*: for ``n`` sorted samples the quantile
 ``f`` maps to index ``round(f * n) - 1`` clamped into ``[0, n - 1]``.  No
@@ -50,8 +49,8 @@ def percentile(samples: Sequence[float], fraction: float, *, presorted: bool = F
 def summarize(samples: Iterable[float]) -> dict[str, float]:
     """Count, sum, mean, min/max, and the standard quantiles of ``samples``.
 
-    This is the per-metric shape embedded in ``BENCH_*.json`` and returned
-    by :meth:`repro.service.metrics.LatencyHistogram.summary`.  ``sum`` is
+    This is the shape :meth:`repro.service.metrics.LatencyHistogram.summary`
+    returns and ``repro-trace breakdown`` tabulates.  ``sum`` is
     exported so scrapers (the Prometheus exposition in
     :mod:`repro.obs.promtext`) can derive rates from consecutive
     ``sum``/``count`` pairs.

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.bench.export import report_to_payload, validate_payload
 from repro.bench.harness import EXAMPLE1_SQL, ExperimentHarness
 from repro.bench.reporting import format_percent, format_table
-from repro.bench.runner import ExperimentConfig, StrategyRunner
 from repro.htap.engines.base import EngineKind
 
 
@@ -128,43 +126,9 @@ def test_curation_experiment(small_harness):
     assert result["representative_factor_coverage"] >= result["random_factor_coverage"] - 1e-9
 
 
-def test_router_strategy_end_to_end(small_harness):
-    """A concrete strategy over the real harness exports a valid payload."""
-    from repro.bench.strategies import RouterInferenceStrategy, harness_config
-
-    runner = StrategyRunner(small_harness)
-    report = runner.run(
-        RouterInferenceStrategy(sample_size=10), ExperimentConfig(runs=2, warmup_runs=1)
-    )
-    assert report.name == "router"
-    assert report.metrics["inference_seconds"]["count"] == 20  # 2 runs x 10 routes
-    assert report.metrics["routing_accuracy"]["count"] == 2
-    assert report.metrics["routing_accuracy"]["p50"] >= 0.8
-    assert report.counters["routed"] == 20
-    assert report.ops_per_second > 0
-    payload = report_to_payload(
-        report, profile="quick", harness_config=harness_config(small_harness)
-    )
-    validate_payload(payload)
-    assert payload["harness"]["test_size"] == 40
-
-
 def test_prompt_assembly_checks(small_harness):
     result = small_harness.prompt_assembly()
     assert result["contains_cost_guard"]
     assert result["contains_question"]
     assert result["knowledge_blocks"] >= 1
     assert set(result["table_i"]) == {"Background information", "Task description", "Additional user context"}
-
-
-def test_committed_baselines_match_the_suite_registry():
-    """Every suite has a committed baseline and every baseline has a suite:
-    ``repro-bench compare`` silently ignores a baseline nothing produces."""
-    from pathlib import Path
-
-    from repro.bench.export import bench_filename
-    from repro.bench.strategies import build_suites
-
-    repo_root = Path(__file__).resolve().parents[2]
-    committed = {path.name for path in repo_root.glob("BENCH_*.json")}
-    assert committed == {bench_filename(name) for name in build_suites()}

@@ -12,7 +12,6 @@ from repro.htap.plan.properties import analyze_plan, compare_properties
 from repro.htap.plan.serialize import (
     plan_from_dict,
     plan_from_json,
-    plan_pair_to_dict,
     plan_to_dict,
     plan_to_json,
 )
@@ -169,11 +168,6 @@ def test_plan_from_json_requires_node_type():
         plan_from_json('{"Total Cost": 1.0}')
     with pytest.raises(ValueError):
         plan_from_json('{"Node Type": "Filter", "Plans": [{"Total Cost": 1.0}]}')
-
-
-def test_plan_pair_to_dict_has_both_engines():
-    pair = plan_pair_to_dict(_small_tp_plan(), _small_ap_plan())
-    assert set(pair) == {"TP", "AP"}
 
 
 # -------------------------------------------------------------- properties

@@ -133,3 +133,12 @@ def test_cli_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     missing.write_text("")
     assert main(["show", str(missing)]) == 1
+
+
+def test_cli_demo_serves_traced_requests(capsys):
+    assert main(["demo", "--profile", "quick", "--requests", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "building harness (profile=quick)" in out
+    assert "trace t-" in out
+    assert "└─ " in out
+    assert "per-stage latency breakdown (2 traced requests)" in out
