@@ -6,13 +6,25 @@ derived from a normalized form: whitespace collapsed, keywords and
 identifiers lowercased, trailing semicolons stripped — while string
 literals keep their exact case and spacing (they change result semantics
 in the simulated engines' selectivity model).
+
+The service derives both keys of a request at admission through
+:func:`request_keys`, memoized process-wide by exact SQL text, notes,
+``top_k`` and tenant for the last
+:data:`~repro.service.cache.EXPLANATION_CAPACITY` distinct requests, as
+many as one tenant's L1 holds answers.  An exact repeat, the common L1
+hit, therefore skips normalization and hashing while its answer can
+still be cached; a respelled variant misses the memo, normalizes once
+and lands on the same keys.  The memo holds keys, never answers, so DDL
+and knowledge writes still invalidate what the keys point to.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 from repro.knowledge.knowledge_base import DEFAULT_TENANT
+from repro.service.cache import EXPLANATION_CAPACITY
 
 
 def _fold_tenant(digest: "hashlib._Hash", tenant: str | None) -> None:
@@ -113,3 +125,16 @@ def request_cache_key(
     """Explanation-cache key: the SQL fingerprint plus everything else that
     shapes the generated answer (user notes, retrieval depth, tenant)."""
     return explanation_key(normalize_sql(sql), user_notes, top_k, tenant=tenant)
+
+
+@lru_cache(maxsize=EXPLANATION_CAPACITY)
+def request_keys(
+    sql: str, user_notes: str | None, top_k: int | None, tenant: str | None
+) -> tuple[str, str]:
+    """``(normalize_sql(sql), explanation key)`` of one request, memoized.
+
+    A miss in the explanation cache derives its plan key from the returned
+    normalized text with :func:`plan_key`.
+    """
+    normalized = normalize_sql(sql)
+    return normalized, explanation_key(normalized, user_notes, top_k, tenant=tenant)

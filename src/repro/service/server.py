@@ -59,7 +59,7 @@ from repro.service.api import (
 from repro.service.batching import BatcherClosedError, MicroBatcher
 from repro.service.cache import CacheLevels, ServiceCache
 from repro.service.config import ServiceConfig
-from repro.service.fingerprint import explanation_key, normalize_sql, plan_key
+from repro.service.fingerprint import plan_key, request_keys
 from repro.service.metrics import MetricsRegistry
 from repro.service.tenancy import TenantRegistry
 
@@ -102,6 +102,10 @@ class ExplanationService:
             top_k=config.top_k, prompt_builder=prompt_builder,
         )
         self.metrics = MetricsRegistry()
+        # Resolved once: every L1 hit touches these three.
+        self._submitted = self.metrics.counter("requests.submitted")
+        self._ok = self.metrics.counter("requests.ok")
+        self._warm_seconds = self.metrics.histogram("latency.warm_seconds")
         self.cache = ServiceCache()
         self.batcher = MicroBatcher(router, metrics=self.metrics)
         self._executor = ThreadPoolExecutor(
@@ -241,7 +245,7 @@ class ExplanationService:
             ),
             tenant=tenant,
         )
-        self.metrics.counter("requests.submitted").increment()
+        self._submitted.increment()
         self.metrics.counter(f"requests.tenant.{tenant}").increment()
         tracer = get_tracer()
         root = tracer.span(ROOT_SPAN_NAME, root=True, request_id=request.request_id, tenant=tenant)
@@ -254,10 +258,9 @@ class ExplanationService:
                 ServiceErrorCode.QUOTA_EXCEEDED,
                 f"tenant {tenant!r} is over its request quota",
             )
-        # The one normalization of this request: a miss derives its plan
-        # key from the same text instead of normalizing again.
-        normalized = normalize_sql(sql)
-        cache_key = explanation_key(normalized, user_notes, self.explainer.top_k, tenant=tenant)
+        # At most one normalization per request, none for an exact repeat:
+        # a miss derives its plan key from the same normalized text.
+        normalized, cache_key = request_keys(sql, user_notes, self.explainer.top_k, tenant)
         levels = self.cache.level(tenant)
         with tracer.attach(root):
             cached = self._l1_lookup(tracer, levels, cache_key)
@@ -313,9 +316,9 @@ class ExplanationService:
         queue_seconds: float = 0.0,
     ) -> ExplainResult:
         """The result for a request answered from the L1 explanation cache."""
-        self.metrics.counter("requests.ok").increment()
+        self._ok.increment()
         total = time.perf_counter() - request.submitted_at
-        self.metrics.histogram("latency.warm_seconds").record(total)
+        self._warm_seconds.record(total)
         root.set_attributes(status="ok", cache="l1_hit")
         return ExplainResult(
             request_id=request.request_id,
@@ -461,7 +464,7 @@ class ExplanationService:
             user_notes=request.user_notes,
         )
         levels.explanations.put(cache_key, explanation, epoch=explanation_epoch)
-        self.metrics.counter("requests.ok").increment()
+        self._ok.increment()
         total = time.perf_counter() - request.submitted_at
         self.metrics.histogram("latency.cold_seconds").record(total)
         root.set_attributes(status="ok")

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.service.cache import LRUCache, ServiceCache
-from repro.service.fingerprint import normalize_sql, request_cache_key, sql_fingerprint
+from repro.service.cache import EXPLANATION_CAPACITY, LRUCache, ServiceCache
+from repro.service.fingerprint import (
+    explanation_key,
+    normalize_sql,
+    request_cache_key,
+    request_keys,
+    sql_fingerprint,
+)
 
 
 # ------------------------------------------------------------- fingerprints
@@ -83,6 +89,66 @@ def test_normalize_keeps_per_character_sigma():
     # str.lower() on the whole word would give the final form "ας".
     assert normalize_sql("SELECT ΑΣ  FROM t") == "select ασ from t"
 
+
+# ------------------------------------------------------------ request keys
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(), _TRICKY, _TRICKY.map(lambda sql: sql + " ;; ")),
+    st.one_of(st.none(), st.text(max_size=20)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+    st.sampled_from([None, "default", "acme", "ζeta"]),
+)
+def test_request_keys_match_unmemoized_keys(sql, notes, top_k, tenant):
+    normalized = normalize_sql(sql)
+    expected = (normalized, explanation_key(normalized, notes, top_k, tenant=tenant))
+    assert request_keys(sql, notes, top_k, tenant) == expected
+    # A repeat is answered from the memo, with the same keys.
+    assert request_keys(sql, notes, top_k, tenant) == expected
+
+
+def test_request_keys_never_shared_across_tenant_notes_or_k():
+    sql = "SELECT * FROM orders WHERE o_orderkey = 7"
+    variants = [
+        (None, None, None),
+        (None, None, "acme"),
+        (None, None, "zeta"),
+        ("index on o_orderkey", None, None),
+        ("other note", None, None),
+        (None, 2, None),
+        (None, 3, None),
+        ("index on o_orderkey", 3, "acme"),
+    ]
+    keys = {request_keys(sql, *variant)[1] for variant in variants}
+    assert len(keys) == len(variants)
+    assert {request_keys(sql, *variant)[0] for variant in variants} == {normalize_sql(sql)}
+
+
+def test_request_keys_memo_is_bounded_by_l1_capacity():
+    request_keys.cache_clear()
+    for index in range(2 * EXPLANATION_CAPACITY):
+        request_keys(f"SELECT {index} FROM t", None, None, None)
+    info = request_keys.cache_info()
+    assert info.maxsize == EXPLANATION_CAPACITY
+    assert info.currsize <= EXPLANATION_CAPACITY
+    assert info.misses == 2 * EXPLANATION_CAPACITY
+
+
+def test_memoized_keys_still_miss_after_ddl_and_kb_write(service, service_stack):
+    _system, _router, kb, _llm, sqls, labeled = service_stack
+    assert service.explain(sqls[0]).ok
+    assert service.explain(sqls[0]).cache_hit
+    service.create_index("customer", "c_phone")
+    memo_hits = request_keys.cache_info().hits
+    after_ddl = service.explain(sqls[0])
+    assert after_ddl.ok and not after_ddl.cache_hit
+    assert service.explain(sqls[0]).cache_hit
+    kb.correct(labeled[0].query_id, "better wording", None)
+    after_write = service.explain(sqls[0])
+    assert after_write.ok and not after_write.cache_hit
+    # Both misses, and the hit between them, took their keys from the memo:
+    # it holds keys, not answers.
+    assert request_keys.cache_info().hits >= memo_hits + 3
+    assert service.explain(sqls[0]).cache_hit
 
 # -------------------------------------------------------------------- LRU
 def test_lru_eviction_order():

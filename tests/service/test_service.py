@@ -61,9 +61,9 @@ def test_normalized_sql_variants_share_one_cache_line(service, service_stack):
 
 def test_sql_is_normalized_once_per_request(service, service_stack, monkeypatch):
     import repro.service.fingerprint as fingerprint
-    import repro.service.server as server
 
     _system, _router, _kb, _llm, sqls, _labeled = service_stack
+    fingerprint.request_keys.cache_clear()
     calls: list[str] = []
     real = fingerprint.normalize_sql
 
@@ -72,13 +72,21 @@ def test_sql_is_normalized_once_per_request(service, service_stack, monkeypatch)
         return real(sql)
 
     monkeypatch.setattr(fingerprint, "normalize_sql", counting)
-    monkeypatch.setattr(server, "normalize_sql", counting)
     miss = service.explain(sqls[0])
     assert miss.ok and not miss.cache_hit
     assert calls == [sqls[0]]
+    # An exact repeat finds its keys in the memo: no normalization at all.
     hit = service.explain(sqls[0])
     assert hit.ok and hit.cache_hit
-    assert calls == [sqls[0], sqls[0]]
+    assert calls == [sqls[0]]
+    # Another spelling misses the memo, normalizes once, and still hits L1.
+    parts = sqls[0].split("'")
+    parts[::2] = [part.upper().replace(" ", "\n  ") for part in parts[::2]]
+    respelled = "  " + "'".join(parts) + " ;"
+    assert respelled != sqls[0] and real(respelled) == real(sqls[0])
+    variant = service.explain(respelled)
+    assert variant.ok and variant.cache_hit
+    assert calls == [sqls[0], respelled]
 
 
 def test_32_concurrent_requests_zero_errors(service, service_stack):
