@@ -65,9 +65,6 @@ class RowStoreModel:
         """Pages read by a full table scan."""
         return self.table_stats(table_name).page_count
 
-    def full_scan_rows(self, table_name: str) -> int:
-        return self.table_stats(table_name).row_count
-
     # ---------------------------------------------------------------- indexes
     def index_height(self, index: Index) -> int:
         """Height of the B+-tree backing ``index``."""
@@ -84,8 +81,3 @@ class RowStoreModel:
         descent = self.index_height(index)
         heap_fetches = matching_rows if not index.primary else max(1.0, matching_rows)
         return descent + heap_fetches
-
-    def clustered_range_pages(self, table_name: str, matching_rows: float) -> float:
-        """Pages read by a range scan on the primary (clustered) key."""
-        stats = self.table_stats(table_name)
-        return max(1.0, matching_rows / stats.rows_per_page)

@@ -161,10 +161,6 @@ class HTAPSystem:
             ap_plan = self.ap_optimizer.optimize_analysis(analysis)
         return PlanPair(query=parsed, tp_plan=tp_plan, ap_plan=ap_plan)
 
-    def execute_plan(self, engine: EngineKind, plan: PlanNode) -> ExecutionResult:
-        """Execute a single plan on one engine (simulated)."""
-        return self.simulator.execute(engine, plan)
-
     def run_both(self, query: ast.Query | str) -> QueryExecution:
         """Plan and execute the query on both engines, as the paper's setup does."""
         plan_pair = self.explain_pair(query)

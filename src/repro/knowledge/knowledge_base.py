@@ -6,8 +6,8 @@ execution result, expert explanation).  The retriever searches it for the
 top-K most similar plan pairs; experts can add new entries and correct
 existing ones at any time (the paper's feedback loop).
 
-The backing vector index is pluggable (flat or HNSW) so the KB-scaling
-ablation can compare both.
+Each namespace searches a flat vector store by default; ``store_factory``
+swaps in another (tests use it to run the KB over the HNSW index too).
 
 **Tenants.**  Every operation takes a ``tenant`` (default
 :data:`DEFAULT_TENANT`).  A tenant's entries are invisible to every other
@@ -172,9 +172,11 @@ class KnowledgeBase:
         with namespace.lock.write_locked():
             if entry.entry_id in namespace.entries:
                 raise KeyError(f"duplicate entry id {entry.entry_id!r}")
+            # The store validates the embedding, so a rejected add leaves
+            # no entry behind.
+            namespace.store.add(entry.entry_id, entry.embedding)
             entry.inserted_at = next(self._insert_counter)
             namespace.entries[entry.entry_id] = entry
-            namespace.store.add(entry.entry_id, entry.embedding)
 
     def add(self, entry: KnowledgeEntry, *, tenant: str = DEFAULT_TENANT) -> None:
         """Insert a new entry (raises on duplicate ids)."""

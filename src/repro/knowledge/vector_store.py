@@ -13,15 +13,15 @@ Two interchangeable implementations:
 Both support cosine and Euclidean distances and deletion by id (needed for
 the stale-entry expiry policies).
 
-Distance math runs through one shared matrix kernel,
-:meth:`VectorStore.pairwise_distances`: cosine is a single matvec against
-precomputed row norms, Euclidean uses the ``‖a‖² + ‖b‖² − 2a·b`` identity.
-The flat store keeps its vectors in a contiguous cached matrix (rebuilt
-lazily behind a dirty flag), and the HNSW store scores each candidate
-frontier with one batched kernel call instead of per-neighbor python
-distance calls — that is what makes its promised scaling hold in practice.
-The original scalar path is retained behind ``use_batched_kernels=False``
-so equivalence tests can diff both implementations on the same graph.
+Both keep their vectors in one row buffer owned by :class:`VectorStore`: a
+contiguous matrix that doubles when full, with each row's norm and squared
+norm computed when the row is written.  Distance math runs through one
+shared matrix kernel, :meth:`VectorStore.pairwise_distances`: cosine is a
+single matvec against the cached row norms, Euclidean uses the
+``‖a‖² + ‖b‖² − 2a·b`` identity.  The flat store scores its first ``len``
+rows in one call; the HNSW store scores each candidate frontier with one
+call instead of per-neighbour python distance calls — that is what makes
+its promised scaling hold in practice.  A search never writes store state.
 """
 
 from __future__ import annotations
@@ -65,17 +65,21 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-_METRICS = {"cosine": cosine_distance, "euclidean": euclidean_distance}
+_METRICS = ("cosine", "euclidean")
 
 
 class VectorStore:
-    """Interface shared by the flat and HNSW stores."""
+    """Interface shared by the flat and HNSW stores, plus their row buffer."""
 
     def __init__(self, metric: str = "cosine"):
         if metric not in _METRICS:
             raise ValueError(f"unknown metric {metric!r}; choose from {sorted(_METRICS)}")
         self.metric = metric
-        self._distance = _METRICS[metric]
+        # Row buffer, allocated on the first write: one vector per row, grown
+        # by doubling, with norms cached when the row is written.
+        self._matrix: np.ndarray | None = None
+        self._norms: np.ndarray | None = None
+        self._sq_norms: np.ndarray | None = None
 
     # -- implemented by subclasses ------------------------------------------
     def add(self, key: str, vector: np.ndarray) -> None:
@@ -87,8 +91,50 @@ class VectorStore:
     def search(self, vector: np.ndarray, k: int) -> list[SearchResult]:
         raise NotImplementedError
 
+    def keys(self) -> list[str]:
+        raise NotImplementedError
+
+    def __contains__(self, key: str) -> bool:
+        raise NotImplementedError
+
     def __len__(self) -> int:
         raise NotImplementedError
+
+    # -- row buffer -----------------------------------------------------------
+    def _write_row(self, row: int, vector: np.ndarray) -> None:
+        """Store ``vector`` at ``row``, growing the buffer if it is full.
+
+        Raises ``ValueError`` before touching any state when the vector's
+        dimension differs from the vectors already stored.
+        """
+        if self._matrix is None:
+            capacity = 64
+            self._matrix = np.zeros((capacity, vector.shape[0]), dtype=np.float64)
+            self._norms = np.zeros(capacity, dtype=np.float64)
+            self._sq_norms = np.zeros(capacity, dtype=np.float64)
+        elif vector.shape[0] != self._matrix.shape[1]:
+            raise ValueError(
+                f"vector has {vector.shape[0]} dimensions; store holds "
+                f"{self._matrix.shape[1]}-dimensional vectors"
+            )
+        if row >= self._matrix.shape[0]:
+            capacity = self._matrix.shape[0] * 2
+            self._matrix = np.resize(self._matrix, (capacity, self._matrix.shape[1]))
+            self._norms = np.resize(self._norms, capacity)
+            self._sq_norms = np.resize(self._sq_norms, capacity)
+        self._matrix[row] = vector
+        sq = float(vector @ vector)
+        self._sq_norms[row] = sq
+        self._norms[row] = math.sqrt(sq)
+
+    def _row_distances(self, query: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+        """Distances from ``query`` to the selected buffer rows, one kernel call."""
+        return self.pairwise_distances(
+            query,
+            self._matrix[rows],
+            row_norms=self._norms[rows],
+            row_sq_norms=self._sq_norms[rows],
+        )
 
     # -- shared matrix distance kernel ----------------------------------------
     def pairwise_distances(
@@ -126,41 +172,28 @@ class VectorStore:
         for key, vector in items:
             self.add(key, vector)
 
-    def __contains__(self, key: str) -> bool:
-        # Subclasses override with an O(1) dict lookup; this fallback scans.
-        return key in self.keys()
-
-    def keys(self) -> list[str]:
-        raise NotImplementedError
-
 
 class FlatVectorStore(VectorStore):
     """Exact nearest-neighbour search by scanning all vectors.
 
-    Vectors live in a contiguous cached matrix with precomputed norms, so
-    each query is one kernel call; ``add`` / ``remove`` only mark the cache
-    dirty and the matrix is rebuilt lazily on the next search.  ``remove``
-    is O(1): the last vector swaps into the vacated slot, which is safe
-    because result order comes from distances, not insertion positions.
+    Row ``i`` of the buffer holds ``keys()[i]``, so ``add`` writes one row
+    and each query is one kernel call over the first ``len`` rows.
+    ``remove`` is O(1): the last row (and its norms) moves into the vacated
+    slot, which is safe because result order comes from distances, not
+    insertion positions.
     """
 
     def __init__(self, metric: str = "cosine"):
         super().__init__(metric)
         self._keys: list[str] = []
-        self._vectors: list[np.ndarray] = []
         self._index_of: dict[str, int] = {}
-        self._matrix: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
-        self._sq_norms: np.ndarray | None = None
-        self._dirty = True
 
     def add(self, key: str, vector: np.ndarray) -> None:
         if key in self._index_of:
             raise KeyError(f"duplicate key {key!r}")
+        self._write_row(len(self._keys), _as_matrix(vector))
         self._index_of[key] = len(self._keys)
         self._keys.append(key)
-        self._vectors.append(_as_matrix(vector))
-        self._dirty = True
 
     def remove(self, key: str) -> None:
         if key not in self._index_of:
@@ -169,21 +202,13 @@ class FlatVectorStore(VectorStore):
         last = len(self._keys) - 1
         if index != last:
             # Swap-with-last: O(1) instead of shifting and re-numbering
-            # every key after the removed position.
+            # every row after the removed position.
             self._keys[index] = self._keys[last]
-            self._vectors[index] = self._vectors[last]
             self._index_of[self._keys[index]] = index
+            self._matrix[index] = self._matrix[last]
+            self._norms[index] = self._norms[last]
+            self._sq_norms[index] = self._sq_norms[last]
         self._keys.pop()
-        self._vectors.pop()
-        self._dirty = True
-
-    def _ensure_matrix(self) -> None:
-        if not self._dirty and self._matrix is not None:
-            return
-        self._matrix = np.vstack(self._vectors)
-        self._norms = np.linalg.norm(self._matrix, axis=1)
-        self._sq_norms = np.einsum("ij,ij->i", self._matrix, self._matrix)
-        self._dirty = False
 
     def search(self, vector: np.ndarray, k: int) -> list[SearchResult]:
         if k <= 0 or not self._keys:
@@ -191,11 +216,7 @@ class FlatVectorStore(VectorStore):
         with get_tracer().span(
             "kb.search", store="flat", candidates_scanned=len(self._keys)
         ) as span:
-            query = _as_matrix(vector)
-            self._ensure_matrix()
-            distances = self.pairwise_distances(
-                query, self._matrix, row_norms=self._norms, row_sq_norms=self._sq_norms
-            )
+            distances = self._row_distances(_as_matrix(vector), slice(0, len(self._keys)))
             order = np.argsort(distances, kind="stable")[:k]
             results = [
                 SearchResult(key=self._keys[int(i)], distance=float(distances[int(i)]))
@@ -217,11 +238,10 @@ class FlatVectorStore(VectorStore):
 
 
 class _HNSWNode:
-    __slots__ = ("key", "vector", "neighbors", "deleted")
+    __slots__ = ("key", "neighbors", "deleted")
 
-    def __init__(self, key: str, vector: np.ndarray, level: int):
+    def __init__(self, key: str, level: int):
         self.key = key
-        self.vector = vector
         # neighbors[layer] -> list of node ids
         self.neighbors: list[list[int]] = [[] for _ in range(level + 1)]
         self.deleted = False
@@ -251,12 +271,11 @@ class HNSWVectorStore(VectorStore):
     results but still used for graph navigation), which is how most
     production HNSW implementations behave.
 
-    With ``use_batched_kernels`` (the default) each candidate frontier —
-    the unvisited neighbours of the node being expanded — is scored with a
-    single :meth:`pairwise_distances` call against a contiguous vector
-    matrix, instead of one python-level distance call per neighbour.
-    Setting it to ``False`` restores the scalar reference path; both run
-    on the same graph, so equivalence tests can compare them directly.
+    A node's id is its row in the shared row buffer, so each candidate
+    frontier — the unvisited neighbours of the node being expanded — is
+    scored with a single :meth:`pairwise_distances` call
+    (:meth:`_frontier_distances`) instead of one python-level distance
+    call per neighbour.
     """
 
     def __init__(
@@ -267,7 +286,6 @@ class HNSWVectorStore(VectorStore):
         ef_construction: int = 64,
         ef_search: int = 32,
         seed: int = 42,
-        use_batched_kernels: bool = True,
     ):
         super().__init__(metric)
         if M < 2:
@@ -276,18 +294,12 @@ class HNSWVectorStore(VectorStore):
         self.max_M0 = 2 * M
         self.ef_construction = max(ef_construction, M)
         self.ef_search = max(ef_search, 1)
-        self.use_batched_kernels = use_batched_kernels
         self._level_multiplier = 1.0 / math.log(M)
         self._rng = random.Random(seed)
         self._nodes: list[_HNSWNode] = []
         self._id_of: dict[str, int] = {}
         self._entry_point: int | None = None
         self._live_count = 0
-        # Contiguous copy of every node's vector (plus cached norms), grown
-        # by doubling, so frontier scoring is a fancy-index + one matvec.
-        self._matrix: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
-        self._sq_norms: np.ndarray | None = None
 
     # ------------------------------------------------------------------ basic
     def keys(self) -> list[str]:
@@ -301,50 +313,24 @@ class HNSWVectorStore(VectorStore):
         return self._live_count
 
     # ----------------------------------------------------------------- matrix
-    def _append_vector(self, vector: np.ndarray) -> None:
-        count = len(self._nodes)
-        if self._matrix is None:
-            capacity = 64
-            self._matrix = np.zeros((capacity, vector.shape[0]), dtype=np.float64)
-            self._norms = np.zeros(capacity, dtype=np.float64)
-            self._sq_norms = np.zeros(capacity, dtype=np.float64)
-        elif vector.shape[0] != self._matrix.shape[1]:
-            raise ValueError(
-                f"vector has {vector.shape[0]} dimensions; store holds "
-                f"{self._matrix.shape[1]}-dimensional vectors"
-            )
-        if count >= self._matrix.shape[0]:
-            capacity = self._matrix.shape[0] * 2
-            self._matrix = np.resize(self._matrix, (capacity, self._matrix.shape[1]))
-            self._norms = np.resize(self._norms, capacity)
-            self._sq_norms = np.resize(self._sq_norms, capacity)
-        self._matrix[count] = vector
-        sq = float(vector @ vector)
-        self._sq_norms[count] = sq
-        self._norms[count] = math.sqrt(sq)
-
-    def _frontier_distances(self, query: np.ndarray, ids: list[int], counters: _KernelCounters | None = None) -> np.ndarray:
+    def _frontier_distances(
+        self, query: np.ndarray, ids: list[int], counters: _KernelCounters | None = None
+    ) -> np.ndarray:
         """Distances from ``query`` to the given node ids in one kernel call."""
-        index = np.asarray(ids, dtype=np.int64)
         if counters is not None:
             counters.kernel_batches += 1
             counters.vectors_scored += len(ids)
-        return self.pairwise_distances(
-            query,
-            self._matrix[index],
-            row_norms=self._norms[index],
-            row_sq_norms=self._sq_norms[index],
-        )
+        return self._row_distances(query, np.asarray(ids, dtype=np.int64))
 
     # -------------------------------------------------------------------- add
     def add(self, key: str, vector: np.ndarray) -> None:
         if key in self._id_of:
             raise KeyError(f"duplicate key {key!r}")
         vector = _as_matrix(vector)
-        level = self._random_level()
-        node = _HNSWNode(key, vector, level)
         node_id = len(self._nodes)
-        self._append_vector(vector)
+        self._write_row(node_id, vector)
+        level = self._random_level()
+        node = _HNSWNode(key, level)
         self._nodes.append(node)
         self._id_of[key] = node_id
         self._live_count += 1
@@ -369,7 +355,7 @@ class HNSWVectorStore(VectorStore):
                 neighbor.neighbors[layer].append(node_id)
                 limit = self._max_neighbors(layer)
                 if len(neighbor.neighbors[layer]) > limit:
-                    neighbor.neighbors[layer] = self._shrink_neighbors(neighbor, layer, limit)
+                    neighbor.neighbors[layer] = self._shrink_neighbors(neighbor_id, layer, limit)
             if candidates:
                 current = min(candidates)[1]
         if level > entry_level:
@@ -392,17 +378,10 @@ class HNSWVectorStore(VectorStore):
         ranked = sorted((distance, node_id) for node_id, distance in unique.items())
         return ranked[:limit]
 
-    def _shrink_neighbors(self, node: _HNSWNode, layer: int, limit: int) -> list[int]:
-        neighbor_ids = node.neighbors[layer]
-        if self.use_batched_kernels:
-            distances = self._frontier_distances(node.vector, neighbor_ids)
-            scored = list(zip(distances.tolist(), neighbor_ids))
-        else:
-            scored = [
-                (self._distance(node.vector, self._nodes[other].vector), other)
-                for other in neighbor_ids
-            ]
-        scored.sort()
+    def _shrink_neighbors(self, node_id: int, layer: int, limit: int) -> list[int]:
+        neighbor_ids = self._nodes[node_id].neighbors[layer]
+        distances = self._frontier_distances(self._matrix[node_id], neighbor_ids)
+        scored = sorted(zip(distances.tolist(), neighbor_ids))
         return [other for _dist, other in scored[:limit]]
 
     # ----------------------------------------------------------------- search
@@ -465,32 +444,20 @@ class HNSWVectorStore(VectorStore):
         counters: _KernelCounters | None = None,
     ) -> int:
         current = start
-        current_distance = self._node_distance(query, current)
+        current_distance = float(self._frontier_distances(query, [current])[0])
         improved = True
         while improved:
             improved = False
             neighbor_ids = self._nodes[current].neighbors[layer]
             if not neighbor_ids:
                 break
-            if self.use_batched_kernels:
-                distances = self._frontier_distances(query, neighbor_ids, counters)
-                best = int(np.argmin(distances))
-                if distances[best] < current_distance:
-                    current = neighbor_ids[best]
-                    current_distance = float(distances[best])
-                    improved = True
-            else:
-                for neighbor_id in neighbor_ids:
-                    distance = self._distance(query, self._nodes[neighbor_id].vector)
-                    if distance < current_distance:
-                        current, current_distance = neighbor_id, distance
-                        improved = True
+            distances = self._frontier_distances(query, neighbor_ids, counters)
+            best = int(np.argmin(distances))
+            if distances[best] < current_distance:
+                current = neighbor_ids[best]
+                current_distance = float(distances[best])
+                improved = True
         return current
-
-    def _node_distance(self, query: np.ndarray, node_id: int) -> float:
-        if self.use_batched_kernels:
-            return float(self._frontier_distances(query, [node_id])[0])
-        return self._distance(query, self._nodes[node_id].vector)
 
     def _search_layer(
         self,
@@ -503,21 +470,13 @@ class HNSWVectorStore(VectorStore):
         """Beam search on one layer; returns (candidates, distinct nodes visited).
 
         Each frontier expansion — the unvisited neighbours of the popped
-        candidate — is scored in one batched kernel call when
-        ``use_batched_kernels`` is set.
+        candidate — is scored in one kernel call.
         """
         visited = set(entry_points)
         candidates: list[tuple[float, int]] = []
         best: list[tuple[float, int]] = []  # max-heap via negated distance
-        batched = self.use_batched_kernels
-        if batched:
-            entry_distances = self._frontier_distances(query, entry_points, counters)
-        for position, point in enumerate(entry_points):
-            distance = (
-                float(entry_distances[position])
-                if batched
-                else self._distance(query, self._nodes[point].vector)
-            )
+        entry_distances = self._frontier_distances(query, entry_points, counters)
+        for point, distance in zip(entry_points, entry_distances.tolist()):
             heapq.heappush(candidates, (distance, point))
             heapq.heappush(best, (-distance, point))
         while candidates:
@@ -532,14 +491,8 @@ class HNSWVectorStore(VectorStore):
             if not frontier:
                 continue
             visited.update(frontier)
-            if batched:
-                frontier_distances = self._frontier_distances(query, frontier, counters)
-            for position, neighbor_id in enumerate(frontier):
-                neighbor_distance = (
-                    float(frontier_distances[position])
-                    if batched
-                    else self._distance(query, self._nodes[neighbor_id].vector)
-                )
+            frontier_distances = self._frontier_distances(query, frontier, counters)
+            for neighbor_id, neighbor_distance in zip(frontier, frontier_distances.tolist()):
                 if len(best) < ef or neighbor_distance < -best[0][0]:
                     heapq.heappush(candidates, (neighbor_distance, neighbor_id))
                     heapq.heappush(best, (-neighbor_distance, neighbor_id))

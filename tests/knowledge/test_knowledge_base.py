@@ -10,7 +10,7 @@ from repro.htap.engines.base import EngineKind
 from repro.knowledge.curation import expire_stale_entries, select_representative_queries
 from repro.knowledge.entry import KnowledgeEntry
 from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
-from repro.knowledge.vector_store import HNSWVectorStore
+from repro.knowledge.vector_store import FlatVectorStore, HNSWVectorStore
 
 
 def _entry(entry_id: str, vector, faster=EngineKind.AP, factors=("hash_join_vs_nested_loop",)) -> KnowledgeEntry:
@@ -226,6 +226,29 @@ def test_write_listener_reports_tenant():
     kb.remove_write_listener(listener)
     kb.remove("entry-1")
     assert len(events) == 5
+
+
+@pytest.mark.parametrize(
+    "store_factory", [FlatVectorStore, lambda: HNSWVectorStore(seed=4)], ids=["flat", "hnsw"]
+)
+def test_rejected_add_leaves_no_entry(store_factory):
+    """A wrong-dimension embedding is refused without a trace in the KB."""
+    kb = KnowledgeBase(store_factory)
+    entries = make_entries(3)
+    kb.add_many(entries[:2])
+    events: list[tuple[str, str, str]] = []
+    kb.add_write_listener(lambda *args: events.append(args))
+    with pytest.raises(ValueError):
+        kb.add(with_embedding(entries[2], np.ones(4)))
+    assert events == []
+    assert kb.count() == 2 and not kb.contains("entry-2")
+    hits = kb.retrieve(entries[0].embedding, k=3).hits
+    assert len(hits) == 2 and hits[0].entry.entry_id == "entry-0"
+    with pytest.raises(KeyError):
+        kb.remove("entry-2")
+    kb.add(entries[2])
+    assert kb.remove("entry-2").entry_id == "entry-2"
+    assert kb.count() == 2
 
 
 def test_hnsw_store_factory():

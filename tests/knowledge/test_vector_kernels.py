@@ -2,11 +2,12 @@
 
 ``pairwise_distances`` is checked row-by-row against the scalar distance
 functions, the flat store's swap-with-last ``remove`` is checked for
-key→index consistency under interleaved mutation, and the HNSW store's
-batched frontier scoring is checked for exact result parity against the
-retained scalar path — on the *same* graph, by toggling
-``use_batched_kernels`` between searches, so any divergence is the kernel's
-fault and not an artifact of two independently built graphs.
+key→row consistency under interleaved mutation, and the HNSW store's
+batched frontier scoring is checked for exact result parity against
+:class:`ScalarHNSWVectorStore`, a test-only subclass that scores one node
+at a time.  The scalar store searches the *same* graph (it shares the
+batched store's state), so any divergence is the kernel's fault and not an
+artifact of two independently built graphs.
 """
 
 import numpy as np
@@ -23,6 +24,21 @@ from repro.knowledge.vector_store import (
 def _random_vectors(count: int, dimensions: int = 16, seed: int = 0) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     return [rng.normal(size=dimensions) for _ in range(count)]
+
+
+class ScalarHNSWVectorStore(HNSWVectorStore):
+    """Scalar reference: one python-level distance call per node id."""
+
+    def _frontier_distances(self, query, ids, counters=None):
+        distance = cosine_distance if self.metric == "cosine" else euclidean_distance
+        return np.array([distance(query, self._matrix[node_id]) for node_id in ids])
+
+    @classmethod
+    def sharing_graph_of(cls, store: HNSWVectorStore) -> "ScalarHNSWVectorStore":
+        """A scalar store over ``store``'s graph and row buffer (searches only)."""
+        scalar = cls.__new__(cls)
+        scalar.__dict__.update(vars(store))
+        return scalar
 
 
 # -------------------------------------------------------------- kernel math
@@ -75,12 +91,13 @@ def test_pairwise_euclidean_identity_never_goes_negative():
 # ------------------------------------------------- flat store cache + remove
 def test_flat_search_matches_bruteforce_after_interleaved_mutation():
     store = FlatVectorStore()
-    vectors = {f"v{i}": v for i, v in enumerate(_random_vectors(40, seed=11))}
+    # 70 entries: more than the buffer's first 64 rows, so it grows once.
+    vectors = {f"v{i}": v for i, v in enumerate(_random_vectors(70, seed=11))}
     alive = dict(vectors)
     for key, vector in vectors.items():
         store.add(key, vector)
-    # Interleave removes and adds so the swap-with-last path and the dirty
-    # matrix rebuild both run repeatedly.
+    # Interleave removes and adds so the swap-with-last row move and the
+    # row writes both run repeatedly against a live buffer.
     rng = np.random.default_rng(12)
     for round_index in range(12):
         victim = sorted(alive)[int(rng.integers(len(alive)))]
@@ -91,8 +108,11 @@ def test_flat_search_matches_bruteforce_after_interleaved_mutation():
             vector = rng.normal(size=16)
             store.add(key, vector)
             alive[key] = vector
-        # key→index map stays consistent with the key list after every swap.
+        # key→row map stays consistent with the key list after every swap,
+        # and each live row still holds its key's vector.
         assert store._index_of == {key: i for i, key in enumerate(store._keys)}
+        for row, key in enumerate(store._keys):
+            np.testing.assert_array_equal(store._matrix[row], alive[key])
         query = rng.normal(size=16)
         results = store.search(query, k=5)
         expected = sorted(alive, key=lambda k: cosine_distance(query, alive[k]))[:5]
@@ -115,9 +135,9 @@ def test_hnsw_batched_and_scalar_paths_identical_with_tombstones():
     """Same 1k-entry graph, both kernel paths, identical results.
 
     The store is built once (graph construction is part of the store's
-    state), then ``use_batched_kernels`` is flipped between searches so the
-    comparison isolates the search kernels themselves.  Tombstones are
-    included because deletion changes the ef inflation and the layer-0
+    state), then searched by itself and by a scalar store sharing its graph,
+    so the comparison isolates the search kernels themselves.  Tombstones
+    are included because deletion changes the ef inflation and the layer-0
     candidate filtering.
     """
     store = HNSWVectorStore(seed=17)
@@ -126,12 +146,11 @@ def test_hnsw_batched_and_scalar_paths_identical_with_tombstones():
         store.add(f"v{index}", vector)
     for index in range(0, 1000, 7):
         store.remove(f"v{index}")
+    scalar_store = ScalarHNSWVectorStore.sharing_graph_of(store)
     queries = _random_vectors(20, seed=23)
     for query in queries:
-        store.use_batched_kernels = True
         batched = store.search(query, k=5)
-        store.use_batched_kernels = False
-        scalar = store.search(query, k=5)
+        scalar = scalar_store.search(query, k=5)
         assert [r.key for r in batched] == [r.key for r in scalar]
         np.testing.assert_allclose(
             [r.distance for r in batched], [r.distance for r in scalar], atol=1e-9
@@ -143,11 +162,10 @@ def test_hnsw_batched_and_scalar_paths_identical_small(metric):
     store = HNSWVectorStore(metric=metric, seed=5)
     for index, vector in enumerate(_random_vectors(120, seed=6)):
         store.add(f"v{index}", vector)
+    scalar_store = ScalarHNSWVectorStore.sharing_graph_of(store)
     for query in _random_vectors(10, seed=7):
-        store.use_batched_kernels = True
         batched = store.search(query, k=4)
-        store.use_batched_kernels = False
-        scalar = store.search(query, k=4)
+        scalar = scalar_store.search(query, k=4)
         assert [r.key for r in batched] == [r.key for r in scalar]
         np.testing.assert_allclose(
             [r.distance for r in batched], [r.distance for r in scalar], atol=1e-9
@@ -156,7 +174,7 @@ def test_hnsw_batched_and_scalar_paths_identical_small(metric):
 
 def test_hnsw_scalar_construction_builds_searchable_graph():
     """The scalar path must stay usable end-to-end, not just for search."""
-    store = HNSWVectorStore(seed=2, use_batched_kernels=False)
+    store = ScalarHNSWVectorStore(seed=2)
     vectors = _random_vectors(80, seed=3)
     for index, vector in enumerate(vectors):
         store.add(f"v{index}", vector)
@@ -164,11 +182,14 @@ def test_hnsw_scalar_construction_builds_searchable_graph():
     assert results[0].key == "v10"
 
 
-def test_hnsw_dimension_mismatch_rejected():
-    store = HNSWVectorStore()
+@pytest.mark.parametrize("store_class", [FlatVectorStore, HNSWVectorStore], ids=["flat", "hnsw"])
+def test_dimension_mismatch_rejected(store_class):
+    store = store_class()
     store.add("a", np.ones(8))
     with pytest.raises(ValueError):
         store.add("b", np.ones(4))
+    assert "b" not in store and len(store) == 1
+    assert [result.key for result in store.search(np.ones(8), k=2)] == ["a"]
 
 
 def test_search_spans_report_kernel_accounting():
