@@ -1,6 +1,7 @@
-"""repro.obs — tracing, sampling, retention, exposition, and the admin plane.
+"""repro.obs — metrics, tracing, sampling, retention, exposition, and the admin plane.
 
-The observability layer for the serving system: request-scoped
+The observability layer for the serving system: counters and latency
+histograms (:mod:`repro.obs.metrics`), request-scoped
 :class:`Span` trees with monotonic-clock timing and ``contextvars``
 propagation (:mod:`repro.obs.tracing`), head+tail trace sampling
 (:mod:`repro.obs.sampling`), bounded slow-trace retention
@@ -8,7 +9,7 @@ propagation (:mod:`repro.obs.tracing`), head+tail trace sampling
 (:mod:`repro.obs.jsonlog`), a Prometheus-style text exposition
 (:mod:`repro.obs.promtext`), typed health checks
 (:mod:`repro.obs.health`), SLO burn-rate tracking (:mod:`repro.obs.slo`),
-an embeddable asyncio admin HTTP server (:mod:`repro.obs.server`), and
+an embeddable ``http.server`` admin plane (:mod:`repro.obs.server`), and
 the ``repro-trace`` CLI (:mod:`repro.obs.cli`).
 
 Tracing is **off by default** and free when off; enable it for a scope
@@ -37,7 +38,7 @@ from repro.obs.slo import (
     SLOTracker,
     default_service_objectives,
 )
-from repro.obs.store import Trace, TraceStore, stage_durations
+from repro.obs.store import Trace, TraceStore
 from repro.obs.tracing import (
     NULL_SPAN,
     Span,
@@ -49,7 +50,7 @@ from repro.obs.tracing import (
 
 
 def __getattr__(name: str):
-    # The admin server pulls in asyncio and ssl; load it on first use so
+    # The admin server pulls in http.server and ssl; load it on first use so
     # that importing the tracing API (which every serving module does)
     # stays cheap for deployments that never start the admin plane.
     if name == "AdminServer":
@@ -81,6 +82,5 @@ __all__ = [
     "read_traces",
     "render_prometheus",
     "set_tracer",
-    "stage_durations",
     "traced",
 ]

@@ -12,7 +12,7 @@ response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,3 @@ class HealthReport:
             "ok": self.ok,
             "checks": [check.to_dict() for check in self.checks],
         }
-
-
-def report(checks: Iterable[HealthCheck]) -> HealthReport:
-    """Assemble a :class:`HealthReport` from any iterable of checks."""
-    return HealthReport(checks=tuple(checks))

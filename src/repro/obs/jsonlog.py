@@ -1,10 +1,10 @@
 """Structured JSON-lines trace log.
 
-One JSON object per finished trace, appended to a file (or any file-like
-object), flushed per write so a crash loses at most the in-flight trace.
-Attribute values that are not JSON-native are stringified rather than
-dropped — a trace log that throws on an enum attribute is worse than one
-with ``"EngineKind.TP"`` in it.
+One JSON object per finished trace, appended to a file, flushed per
+write so a crash loses at most the in-flight trace.  Attribute values
+that are not JSON-native are stringified rather than dropped — a trace
+log that throws on an enum attribute is worse than one with
+``"EngineKind.TP"`` in it.
 
 Reading back is :func:`read_traces`, which tolerates a truncated final
 line (the crash case) and is what ``repro-trace show``/``breakdown``
@@ -25,18 +25,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class TraceLogWriter:
     """Append-only JSON-lines sink for finished traces."""
 
-    def __init__(self, target: str | Path | IO[str]):
+    def __init__(self, path: str | Path):
         self._lock = threading.Lock()
-        if isinstance(target, (str, Path)):
-            self._path: Path | None = Path(target)
-            self._stream: IO[str] | None = None
-        else:
-            self._path = None
-            self._stream = target
+        self._path = Path(path)
+        self._stream: IO[str] | None = None
 
     def _handle(self) -> IO[str]:
         if self._stream is None:
-            assert self._path is not None
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._stream = open(self._path, "a", encoding="utf-8")
         return self._stream
@@ -50,7 +45,7 @@ class TraceLogWriter:
 
     def close(self) -> None:
         with self._lock:
-            if self._stream is not None and self._path is not None:
+            if self._stream is not None:
                 self._stream.close()
                 self._stream = None
 

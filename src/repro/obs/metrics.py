@@ -1,4 +1,4 @@
-"""Counters and latency histograms for the serving layer.
+"""Counters and latency histograms for the serving layer and the tracer.
 
 Deliberately lightweight: a :class:`MetricsRegistry` is a named bag of
 :class:`Counter` and :class:`LatencyHistogram` objects whose
@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.stats import percentile_index
+from repro.obs.stats import percentile, summarize
+
+#: Samples a histogram retains for its percentiles; older ones are overwritten.
+MAX_SAMPLES = 8192
 
 
 class Counter:
@@ -39,26 +42,20 @@ class LatencyHistogram:
     """Latency samples with percentile export.
 
     The hot path (:meth:`record`) is O(1): samples land in an unsorted
-    ring buffer whose bounded size keeps memory flat under sustained
-    traffic (once full, a cursor overwrites the retained set in
-    round-robin order, keeping it spread across the stream without a
-    random source).  Sorting is deferred to the rare read side —
-    :meth:`percentile` / :meth:`summary` sort lazily and cache the sorted
-    view until the next write.
+    ring buffer of :data:`MAX_SAMPLES` whose bounded size keeps memory
+    flat under sustained traffic (once full, a cursor overwrites the
+    retained set in round-robin order, keeping it spread across the stream
+    without a random source).  Sorting happens on the rare read side.
     """
 
-    def __init__(self, max_samples: int = 8192) -> None:
-        if max_samples < 1:
-            raise ValueError("max_samples must be at least 1")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._max_samples = max_samples
         self._ring: list[float] = []
         self._cursor = 0
         self._count = 0
         self._total = 0.0
         self._min = 0.0
         self._max = 0.0
-        self._sorted_cache: list[float] | None = None
 
     def record(self, seconds: float) -> None:
         with self._lock:
@@ -68,28 +65,17 @@ class LatencyHistogram:
             self._total += seconds
             if seconds > self._max:
                 self._max = seconds
-            if len(self._ring) < self._max_samples:
+            if len(self._ring) < MAX_SAMPLES:
                 self._ring.append(seconds)
             else:
                 self._ring[self._cursor] = seconds
-                self._cursor = (self._cursor + 1) % self._max_samples
-            self._sorted_cache = None
-
-    def _sorted_samples(self) -> list[float]:
-        # Caller holds the lock.
-        if self._sorted_cache is None:
-            self._sorted_cache = sorted(self._ring)
-        return self._sorted_cache
+                self._cursor = (self._cursor + 1) % MAX_SAMPLES
 
     def percentile(self, fraction: float) -> float:
         """Latency at the given quantile (0 < fraction <= 1) in seconds."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
         with self._lock:
-            samples = self._sorted_samples()
-            if not samples:
-                return 0.0
-            return samples[percentile_index(len(samples), fraction)]
+            samples = list(self._ring)
+        return percentile(samples, fraction)
 
     @property
     def count(self) -> int:
@@ -105,33 +91,16 @@ class LatencyHistogram:
         samples; the percentiles are computed over the ring window.
         """
         with self._lock:
-            samples = self._sorted_samples()
-            if not samples:
-                return {
-                    "count": 0,
-                    "sum": 0.0,
-                    "mean": 0.0,
-                    "min": 0.0,
-                    "p50": 0.0,
-                    "p95": 0.0,
-                    "p99": 0.0,
-                    "max": 0.0,
-                }
-            size = len(samples)
-
-            def at(fraction: float) -> float:
-                return samples[percentile_index(size, fraction)]
-
-            return {
-                "count": self._count,
-                "sum": self._total,
-                "mean": self._total / self._count,
-                "min": self._min,
-                "p50": at(0.50),
-                "p95": at(0.95),
-                "p99": at(0.99),
-                "max": self._max,
-            }
+            summary = summarize(self._ring)
+            if self._count:
+                summary.update(
+                    count=self._count,
+                    sum=self._total,
+                    mean=self._total / self._count,
+                    min=self._min,
+                    max=self._max,
+                )
+        return summary
 
 
 class MetricsRegistry:
@@ -162,12 +131,10 @@ class MetricsRegistry:
         # only guards the name->object maps and is released before any
         # per-object read, so a snapshot never blocks writers for longer
         # than two dict copies.  Each Counter.value and
-        # LatencyHistogram.summary() takes its own lock — record() both
-        # mutates the ring and invalidates the sorted-cache under that
-        # same lock, and summary() rebuilds the cache under it, so a
-        # concurrent record can never leave summary() indexing a stale or
-        # half-built sorted view.  The snapshot is point-in-time per
-        # metric, not atomic across metrics (documented contract).
+        # LatencyHistogram.summary() takes its own lock, and summary()
+        # sorts the ring under it, so a concurrent record can never leave
+        # it reading a half-written ring.  The snapshot is point-in-time
+        # per metric, not atomic across metrics (documented contract).
         with self._lock:
             counters = dict(self._counters)
             histograms = dict(self._histograms)

@@ -1,7 +1,7 @@
 """Prometheus-style text exposition of metrics snapshots.
 
 Renders the plain-dict contract of
-:meth:`repro.service.metrics.MetricsRegistry.snapshot` (and the service's
+:meth:`repro.obs.metrics.MetricsRegistry.snapshot` (and the service's
 richer :meth:`~repro.service.server.ExplanationService.metrics_snapshot`,
 and the tracer's per-stage histograms) into the Prometheus text format
 version 0.0.4 — the format every scraper, ``curl`` invocation, and
@@ -13,7 +13,8 @@ version 0.0.4 — the format every scraper, ``curl`` invocation, and
 * histogram summaries (dicts carrying ``count`` and ``p50``) become
   ``summary`` families — ``{quantile="0.5"}`` samples plus ``_count`` and
   ``_sum`` — with ``min``/``max``/``mean`` exported as sibling gauges;
-* nested dicts flatten into underscore-joined metric names
+* nested dicts flatten into underscore-joined metric names under the
+  ``repro`` namespace
   (``cache.explanations.hit_rate`` → ``repro_cache_explanations_hit_rate``).
 
 There is no HTTP server here on purpose: the exposition is a pure
@@ -33,7 +34,6 @@ _QUANTILE_KEYS = (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99"))
 _SIDE_GAUGES = ("min", "max", "mean")
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-_LEADING_DIGIT = re.compile(r"^[0-9]")
 
 #: Grammar of one exposition line, per the text format 0.0.4 spec —
 #: either a ``# TYPE`` comment or a sample with optional labels and a
@@ -50,13 +50,10 @@ METRIC_LINE = re.compile(
 )
 
 
-def metric_name(*parts: str, namespace: str = "repro") -> str:
-    """Join snapshot path parts into a valid Prometheus metric name."""
-    joined = "_".join(part for part in (namespace, *parts) if part)
-    sanitized = _INVALID_CHARS.sub("_", joined.replace(".", "_"))
-    if _LEADING_DIGIT.match(sanitized):
-        sanitized = "_" + sanitized
-    return sanitized or "_"
+def metric_name(*parts: str) -> str:
+    """Join snapshot path parts into a valid ``repro_…`` Prometheus metric name."""
+    joined = "_".join(part for part in ("repro", *parts) if part)
+    return _INVALID_CHARS.sub("_", joined.replace(".", "_"))
 
 
 def escape_label_value(value: Any) -> str:
@@ -112,30 +109,30 @@ def _render_summary(name: str, summary: Mapping[str, Any], lines: list[str]) -> 
             lines.append(f"{side} {_format_value(summary[key])}")
 
 
-def _render(prefix: tuple[str, ...], value: Any, namespace: str, lines: list[str]) -> None:
+def _render(prefix: tuple[str, ...], value: Any, lines: list[str]) -> None:
     if isinstance(value, Mapping):
         if _is_summary(value):
-            _render_summary(metric_name(*prefix, namespace=namespace), value, lines)
+            _render_summary(metric_name(*prefix), value, lines)
             return
         for key in sorted(value):
-            _render(prefix + (str(key),), value[key], namespace, lines)
+            _render(prefix + (str(key),), value[key], lines)
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return  # non-numeric leaves (labels, strings) are not exposable
-    name = metric_name(*prefix, namespace=namespace)
+    name = metric_name(*prefix)
     kind = "gauge" if isinstance(value, float) else "counter"
     lines.append(f"# TYPE {name} {kind}")
     lines.append(f"{name} {_format_value(value)}")
 
 
-def render_prometheus(snapshot: Mapping[str, Any], *, namespace: str = "repro") -> str:
+def render_prometheus(snapshot: Mapping[str, Any]) -> str:
     """The Prometheus text exposition of one metrics snapshot."""
     lines: list[str] = []
-    _render((), snapshot, namespace, lines)
+    _render((), snapshot, lines)
     return "\n".join(lines) + "\n"
 
 
-def merged_exposition(*snapshots: Mapping[str, Any], namespace: str = "repro") -> str:
+def merged_exposition(*snapshots: Mapping[str, Any]) -> str:
     """Render several snapshots (service metrics + tracer stages) as one page.
 
     Later snapshots win on key collisions, mirroring ``dict.update``.
@@ -143,4 +140,4 @@ def merged_exposition(*snapshots: Mapping[str, Any], namespace: str = "repro") -
     merged: dict[str, Any] = {}
     for snapshot in snapshots:
         merged.update(snapshot)
-    return render_prometheus(merged, namespace=namespace)
+    return render_prometheus(merged)

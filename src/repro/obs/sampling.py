@@ -59,8 +59,6 @@ class Sampler:
         *,
         head_probability: float = 1.0,
         slow_threshold_seconds: float | None = None,
-        keep_rejected: bool = True,
-        keep_errors: bool = True,
     ):
         if not 0.0 <= head_probability <= 1.0:
             raise ValueError("head_probability must be in [0, 1]")
@@ -68,8 +66,6 @@ class Sampler:
             raise ValueError("slow_threshold_seconds must be non-negative")
         self.head_probability = head_probability
         self.slow_threshold_seconds = slow_threshold_seconds
-        self.keep_rejected = keep_rejected
-        self.keep_errors = keep_errors
         self._lock = threading.Lock()
         self._kept_head = 0
         self._kept_tail = {reason: 0 for reason in TAIL_REASONS}
@@ -87,9 +83,9 @@ class Sampler:
         the rules may read the root's final attributes and duration.
         """
         attributes = root.attributes
-        if self.keep_errors and ("error" in attributes or attributes.get("status") == "failed"):
+        if "error" in attributes or attributes.get("status") == "failed":
             return "error"
-        if self.keep_rejected and attributes.get("status") == "rejected":
+        if attributes.get("status") == "rejected":
             return "rejected"
         if (
             self.slow_threshold_seconds is not None

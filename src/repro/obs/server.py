@@ -1,4 +1,4 @@
-"""AdminServer — stdlib-asyncio HTTP endpoints for live observability.
+"""AdminServer — stdlib ``http.server`` endpoints for live observability.
 
 A small embeddable admin plane with zero dependencies beyond the standard
 library.  It serves:
@@ -15,13 +15,13 @@ library.  It serves:
 ``GET /slo``           objectives, windowed SLI values, burn rates (JSON)
 =====================  ========================================================
 
-The server owns a daemon thread running its own event loop, so it embeds
-cleanly in the thread-based serving stack: ``start()`` blocks until the
-socket is bound (``port=0`` picks an ephemeral port, exposed as
-``server.port``), ``stop()`` tears the loop down.  Handlers are
-deliberately synchronous inside the loop — every provider is a quick
-snapshot call — and each connection is one request/response
-(``Connection: close``), which is all a scraper needs.
+The server is a :class:`~http.server.ThreadingHTTPServer` whose accept
+loop runs on a daemon thread, so it embeds cleanly in the thread-based
+serving stack: ``start()`` binds the socket before it returns
+(``port=0`` picks an ephemeral port, exposed as ``server.port``),
+``stop()`` shuts the loop down.  Every provider is a quick snapshot
+call, and each connection is one request/response (HTTP/1.0), which is
+all a scraper needs.
 
 It is wired up for you by ``ExplanationService`` when
 ``ServiceConfig(admin_port=...)`` is set, or standalone via
@@ -30,9 +30,10 @@ It is wired up for you by ``ExplanationService`` when
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socketserver
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from urllib.parse import parse_qs, urlsplit
 
@@ -47,13 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
-_REASONS = {
-    200: "OK",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+#: How often the accept loop checks for :meth:`AdminServer.stop`, which
+#: therefore returns within this many seconds.
+_POLL_SECONDS = 0.05
 
 
 def _trace_summary(trace: "Trace") -> dict[str, Any]:
@@ -70,8 +67,47 @@ def _trace_summary(trace: "Trace") -> dict[str, Any]:
     }
 
 
+class _Handler(BaseHTTPRequestHandler):
+    """Answers every method through :meth:`AdminServer._route`."""
+
+    server: "_HTTPServer"
+
+    def __getattr__(self, name: str) -> Any:
+        # http.server dispatches to do_<METHOD>; route them all, so a
+        # non-GET gets the router's 405 rather than the stdlib's 501.
+        if name.startswith("do_"):
+            return self._respond
+        raise AttributeError(name)
+
+    def _respond(self) -> None:
+        try:
+            status, content_type, body = self.server.admin._route(self.command, self.path)
+        except Exception as exc:  # noqa: BLE001 - always answer the scraper
+            status, content_type = 500, JSON_CONTENT_TYPE
+            body = json.dumps({"error": f"{type(exc).__name__}: {exc}"})
+        payload = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass  # scrapes are not worth a stderr line each
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    def __init__(self, admin: "AdminServer"):
+        self.admin = admin
+        super().__init__((admin.host, admin.port), _Handler)
+
+    def server_bind(self) -> None:
+        # Skip HTTPServer.server_bind's reverse-DNS lookup of the host.
+        socketserver.TCPServer.server_bind(self)
+
+
 class AdminServer:
-    """Embeddable asyncio HTTP server for the observability endpoints."""
+    """Embeddable HTTP server for the observability endpoints."""
 
     def __init__(
         self,
@@ -83,7 +119,6 @@ class AdminServer:
         ready: "Callable[[], HealthReport] | None" = None,
         store_provider: "Callable[[], TraceStore | None] | None" = None,
         slo: "SLOTracker | None" = None,
-        namespace: str = "repro",
     ):
         self.host = host
         #: Requested port; replaced by the bound port after :meth:`start`.
@@ -93,12 +128,8 @@ class AdminServer:
         self.ready = ready
         self.store_provider = store_provider
         self.slo = slo
-        self.namespace = namespace
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.base_events.Server | None = None
+        self._httpd: _HTTPServer | None = None
         self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -109,100 +140,38 @@ class AdminServer:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    def start(self, timeout: float = 5.0) -> "AdminServer":
+    def start(self) -> "AdminServer":
         """Bind the socket and serve from a daemon thread; returns self."""
         if self.running:
             raise RuntimeError("admin server is already running")
-        self._started.clear()
-        self._startup_error = None
+        try:
+            self._httpd = _HTTPServer(self)
+        except OSError as exc:  # port in use, bad host
+            raise RuntimeError(f"admin server failed to bind {self.host}:{self.port}") from exc
+        self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(
-            target=self._run_loop, name="obs-admin-http", daemon=True
+            target=self._httpd.serve_forever,
+            args=(_POLL_SECONDS,),
+            name="obs-admin-http",
+            daemon=True,
         )
         self._thread.start()
-        if not self._started.wait(timeout):
-            raise RuntimeError("admin server did not start in time")
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread.join(timeout)
-            self._thread = None
-            raise RuntimeError(f"admin server failed to bind {self.host}:{self.port}") from error
         return self
 
-    def stop(self, timeout: float = 5.0) -> None:
-        """Stop serving and join the loop thread (idempotent)."""
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout)
-        self._loop = None
-        self._server = None
-        self._thread = None
+    def stop(self) -> None:
+        """Stop serving and join the accept-loop thread (idempotent)."""
+        httpd, thread = self._httpd, self._thread
+        self._httpd = self._thread = None
+        if httpd is not None and thread is not None:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join()
 
     def __enter__(self) -> "AdminServer":
         return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        try:
-            server = loop.run_until_complete(
-                asyncio.start_server(self._handle, self.host, self.port)
-            )
-        except BaseException as exc:  # bind failure (port in use, bad host)
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._loop = loop
-        self._server = server
-        self.port = server.sockets[0].getsockname()[1]
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            loop.run_until_complete(server.wait_closed())
-            loop.close()
-
-    # ------------------------------------------------------------------- HTTP
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            request_line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return
-            method, target = parts[0], parts[1]
-            # Drain headers; this server needs none of them.
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            try:
-                status, content_type, body = self._route(method, target)
-            except Exception as exc:  # noqa: BLE001 - always answer the scraper
-                status, content_type, body = (
-                    500,
-                    JSON_CONTENT_TYPE,
-                    json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
-                )
-            payload = body.encode("utf-8")
-            reason = _REASONS.get(status, "Unknown")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            )
-            writer.write(head.encode("latin-1") + payload)
-            await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError):
-            pass
-        finally:
-            writer.close()
 
     # ---------------------------------------------------------------- routing
     def _route(self, method: str, target: str) -> tuple[int, str, str]:
@@ -241,7 +210,7 @@ class AdminServer:
             # Scrape-driven sampling: every /metrics hit is also an SLO
             # observation, so burn rates track the scrape cadence.
             snapshots.append(self.slo.snapshot(snapshots[0]))
-        return merged_exposition(*snapshots, namespace=self.namespace)
+        return merged_exposition(*snapshots)
 
     def _health_response(
         self, provider: "Callable[[], HealthReport] | None"

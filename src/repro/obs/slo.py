@@ -38,6 +38,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Union
 
+#: Snapshots an :class:`SLOTracker` retains; the oldest are dropped first.
+MAX_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class LatencyObjective:
@@ -132,7 +135,6 @@ class SLOTracker:
         objectives: tuple[Objective, ...] | None = None,
         *,
         windows: tuple[float, ...] = (60.0, 300.0, 1800.0),
-        max_samples: int = 4096,
         clock: Callable[[], float] = time.monotonic,
     ):
         if not windows or any(window <= 0 for window in windows):
@@ -141,7 +143,7 @@ class SLOTracker:
         self.windows = tuple(sorted(windows))
         self._clock = clock
         self._lock = threading.Lock()
-        self._samples: "deque[dict[str, Any]]" = deque(maxlen=max_samples)
+        self._samples: "deque[dict[str, Any]]" = deque(maxlen=MAX_SAMPLES)
 
     # ------------------------------------------------------------------ write
     def observe(self, snapshot: Mapping[str, Any]) -> None:

@@ -1,7 +1,7 @@
 """Shared percentile and summary math for every reported latency number.
 
 One convention, used everywhere a percentile is reported — the serving-layer
-histograms (:mod:`repro.service.metrics`), the harness experiments
+histograms (:mod:`repro.obs.metrics`), the harness experiments
 (:mod:`repro.bench.harness`) and the ``repro-trace breakdown`` table
 (:mod:`repro.obs.cli`) — so a p95 in one report can be compared against a
 p95 in another without wondering which interpolation each used.
@@ -32,7 +32,7 @@ def percentile_index(size: int, fraction: float) -> int:
     return max(0, min(size - 1, int(round(fraction * size)) - 1))
 
 
-def percentile(samples: Sequence[float], fraction: float, *, presorted: bool = False) -> float:
+def percentile(samples: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of ``samples`` (0 < fraction <= 1).
 
     Returns 0.0 for an empty sequence so callers reporting on idle
@@ -40,7 +40,7 @@ def percentile(samples: Sequence[float], fraction: float, *, presorted: bool = F
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    ordered = list(samples) if presorted else sorted(samples)
+    ordered = sorted(samples)
     if not ordered:
         return 0.0
     return ordered[percentile_index(len(ordered), fraction)]
@@ -49,8 +49,9 @@ def percentile(samples: Sequence[float], fraction: float, *, presorted: bool = F
 def summarize(samples: Iterable[float]) -> dict[str, float]:
     """Count, sum, mean, min/max, and the standard quantiles of ``samples``.
 
-    This is the shape :meth:`repro.service.metrics.LatencyHistogram.summary`
-    returns and ``repro-trace breakdown`` tabulates.  ``sum`` is
+    This is the shape :meth:`repro.obs.metrics.LatencyHistogram.summary`
+    returns (with all-time count, sum, mean, min and max laid over it)
+    and ``repro-trace breakdown`` tabulates.  ``sum`` is
     exported so scrapers (the Prometheus exposition in
     :mod:`repro.obs.promtext`) can derive rates from consecutive
     ``sum``/``count`` pairs.

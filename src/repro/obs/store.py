@@ -22,7 +22,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Span
@@ -167,12 +167,3 @@ class TraceStore:
                 "max_slow": self.max_slow,
                 "max_recent": self.max_recent,
             }
-
-
-def stage_durations(traces: Iterable[Trace]) -> dict[str, list[float]]:
-    """Pool per-span durations by span name across many traces."""
-    pooled: dict[str, list[float]] = {}
-    for trace in traces:
-        for span in trace.spans:
-            pooled.setdefault(span.name, []).append(span.duration_seconds)
-    return pooled

@@ -22,7 +22,8 @@ The design goals, in priority order:
 On every span finish the tracer also feeds a per-stage latency histogram
 (``stage.<name>``) in its own :class:`MetricsRegistry`, which is what the
 Prometheus exposition (:mod:`repro.obs.promtext`) and
-``repro-trace breakdown`` read.
+``repro-trace breakdown`` read.  Each trace keeps at most
+:data:`MAX_SPANS_PER_TRACE` child spans; its root always lands.
 """
 
 from __future__ import annotations
@@ -33,11 +34,15 @@ import time
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.store import Trace, TraceStore
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.sampling import Sampler
-    from repro.obs.store import TraceStore
-    from repro.service.metrics import MetricsRegistry
 
+#: Child spans one trace buffers; later children are dropped and counted
+#: as ``tracer.spans_dropped``.
+MAX_SPANS_PER_TRACE = 512
 
 #: The active span for the calling execution context (thread / task).
 _CURRENT: "ContextVar[Span | None]" = ContextVar("repro_obs_current_span", default=None)
@@ -98,19 +103,11 @@ class Span:
 
     # ----------------------------------------------------------- properties
     @property
-    def finished(self) -> bool:
-        return self.end_seconds is not None
-
-    @property
     def duration_seconds(self) -> float:
         """Wall-clock duration; 0.0 while the span is still open."""
         if self.end_seconds is None:
             return 0.0
         return self.end_seconds - self.start_seconds
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None
 
     # ------------------------------------------------------------ recording
     def set_attribute(self, key: str, value: Any) -> "Span":
@@ -167,9 +164,7 @@ class _NullSpan:
     parent_id = None
     start_seconds = 0.0
     end_seconds = 0.0
-    finished = True
     duration_seconds = 0.0
-    is_root = False
 
     @property
     def attributes(self) -> dict[str, Any]:
@@ -246,24 +241,12 @@ class Tracer:
         self,
         *,
         enabled: bool = False,
-        store: "TraceStore | None" = None,
+        store: TraceStore | None = None,
         writer: Any = None,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry | None = None,
         sampler: "Sampler | None" = None,
-        max_spans_per_trace: int = 512,
         clock: Callable[[], float] = time.perf_counter,
     ):
-        if max_spans_per_trace < 1:
-            raise ValueError("max_spans_per_trace must be at least 1")
-        # Local imports keep this module import-light: instrumented
-        # low-level modules (htap, router, knowledge) import
-        # repro.obs.tracing at load time, and an eager import of
-        # repro.service.metrics here would run the repro.service package
-        # __init__ (which imports the server and, transitively, those
-        # same low-level modules) while they are still initializing.
-        from repro.obs.store import TraceStore
-        from repro.service.metrics import MetricsRegistry
-
         self._enabled = enabled
         self.store = store if store is not None else TraceStore()
         #: Anything with ``write(trace)`` — normally a TraceLogWriter.
@@ -271,7 +254,6 @@ class Tracer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: ``None`` means "record every trace" (the pre-sampling behaviour).
         self.sampler = sampler
-        self.max_spans_per_trace = max_spans_per_trace
         self._clock = clock
         self._lock = threading.Lock()
         self._live: dict[str, list[Span]] = {}
@@ -281,31 +263,14 @@ class Tracer:
     def enabled(self) -> bool:
         return self._enabled
 
-    def enable(self) -> None:
-        self._enabled = True
-
-    def disable(self) -> None:
-        self._enabled = False
-
     # -------------------------------------------------------------- spans
     def span(self, name: str, *, parent: "Span | None" = None, root: bool = False, **attributes: Any):
-        """A span to use as a context manager.
+        """Start a span: use it as a context manager, or :meth:`Span.end` it.
 
         Without ``root=True`` this is *child-only*: if there is no parent
         (explicit or ambient), nothing is recorded — instrumented library
         code cannot accidentally open a new trace.
         """
-        return self.start_span(name, parent=parent, root=root, **attributes)
-
-    def start_span(
-        self,
-        name: str,
-        *,
-        parent: "Span | None" = None,
-        root: bool = False,
-        **attributes: Any,
-    ):
-        """Start a span; callers must :meth:`Span.end` it (or use ``with``)."""
         if not self._enabled:
             return NULL_SPAN
         if root:
@@ -404,15 +369,16 @@ class Tracer:
         with self._lock:
             buffer = self._live.get(span.trace_id)
             if buffer is not None:
-                if len(buffer) < self.max_spans_per_trace:
+                if span.parent_id is None:
+                    # The root finishes last and always lands, whatever
+                    # the cap dropped: the trace hangs off it.
+                    buffer.append(span)
+                    completed = self._live.pop(span.trace_id)
+                elif len(buffer) < MAX_SPANS_PER_TRACE:
                     buffer.append(span)
                 else:
                     self.metrics.counter("tracer.spans_dropped").increment()
-                if span.parent_id is None:
-                    completed = self._live.pop(span.trace_id)
         if completed is not None:
-            from repro.obs.store import Trace
-
             if self.sampler is not None:
                 span.attributes.setdefault("sampled", "head")
                 self.sampler.record_kept("head")
@@ -438,8 +404,6 @@ class Tracer:
             return
         span.attributes.setdefault("sampled", f"tail_{reason}")
         span.attributes.setdefault("sampled_partial", True)
-        from repro.obs.store import Trace
-
         trace = Trace(trace_id=span.trace_id, root=span, spans=[span])
         self.metrics.counter("tracer.traces").increment()
         sampler.record_kept(reason)
@@ -476,34 +440,20 @@ class Tracer:
 
 
 # ---------------------------------------------------------------- process-global
-# Constructed lazily on first use, not at import time: Tracer.__init__
-# imports repro.service.metrics, and building one while a low-level
-# instrumented module is still mid-import would re-enter that module
-# through the repro.service package __init__.
-_GLOBAL_TRACER: Tracer | None = None
+_GLOBAL_TRACER = Tracer(enabled=False)
 _GLOBAL_LOCK = threading.Lock()
 
 
 def get_tracer() -> Tracer:
     """The process-global tracer every instrumentation point reads."""
-    global _GLOBAL_TRACER
-    tracer = _GLOBAL_TRACER
-    if tracer is None:
-        with _GLOBAL_LOCK:
-            tracer = _GLOBAL_TRACER
-            if tracer is None:
-                tracer = _GLOBAL_TRACER = Tracer(enabled=False)
-    return tracer
+    return _GLOBAL_TRACER
 
 
 def set_tracer(tracer: Tracer) -> Tracer:
     """Install ``tracer`` as the process-global one; returns the previous."""
     global _GLOBAL_TRACER
     with _GLOBAL_LOCK:
-        previous = _GLOBAL_TRACER
-        if previous is None:
-            previous = Tracer(enabled=False)
-        _GLOBAL_TRACER = tracer
+        previous, _GLOBAL_TRACER = _GLOBAL_TRACER, tracer
     return previous
 
 

@@ -15,10 +15,10 @@ production-shaped serving layer:
   per-tenant weighted fair queue;
 * :mod:`repro.service.tenancy` — tenant registry, weights, and
   token-bucket request quotas;
-* :mod:`repro.service.metrics` — counters and p50/p95/p99 latency
-  histograms exported as a dict;
 * :mod:`repro.service.server` — :class:`ExplanationService`: worker pool,
   bounded admission, graceful shed.
+
+Its counters and latency histograms are :mod:`repro.obs.metrics` types.
 """
 
 from repro.service.api import (
@@ -32,21 +32,17 @@ from repro.service.batching import MicroBatcher, WeightedFairQueue
 from repro.service.cache import CacheLevels, CacheStats, LRUCache, ServiceCache
 from repro.service.config import ServiceConfig
 from repro.service.fingerprint import normalize_sql, request_cache_key, sql_fingerprint
-from repro.service.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.service.server import ExplanationService
 from repro.service.tenancy import DEFAULT_TENANT, TenantConfig, TenantRegistry, TokenBucket
 
 __all__ = [
     "CacheLevels",
     "CacheStats",
-    "Counter",
     "DEFAULT_TENANT",
     "ExplainRequest",
     "ExplainResult",
     "ExplanationService",
     "LRUCache",
-    "LatencyHistogram",
-    "MetricsRegistry",
     "MicroBatcher",
     "RequestStatus",
     "ServiceCache",

@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING, Generic, TypeVar
 import numpy as np
 
 from repro.knowledge.knowledge_base import DEFAULT_TENANT
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, get_tracer
-from repro.service.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.htap.system import PlanPair

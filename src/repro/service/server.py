@@ -48,6 +48,7 @@ from repro.htap.system import HTAPSystem
 from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.llm.client import LLMClient
 from repro.llm.prompts import PromptBuilder, QuestionAttachment
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Span, Tracer, get_tracer
 from repro.router.router import SmartRouter
 from repro.service.api import (
@@ -60,7 +61,6 @@ from repro.service.batching import BatcherClosedError, MicroBatcher
 from repro.service.cache import CacheLevels, ServiceCache
 from repro.service.config import ServiceConfig
 from repro.service.fingerprint import plan_key, request_keys
-from repro.service.metrics import MetricsRegistry
 from repro.service.tenancy import TenantRegistry
 
 
@@ -127,8 +127,8 @@ class ExplanationService:
     # ------------------------------------------------------------- admin plane
     def _start_admin(self, config: ServiceConfig) -> None:
         # Imported lazily: most deployments never start the admin plane,
-        # and repro.obs.server pulls in asyncio machinery this hot-path
-        # module otherwise does not need.
+        # and repro.obs.server pulls in http.server and ssl, which this
+        # hot-path module otherwise does not need.
         from repro.obs.server import AdminServer
         from repro.obs.slo import SLOTracker
 

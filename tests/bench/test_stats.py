@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.stats import percentile, percentile_index, summarize
-from repro.service.metrics import LatencyHistogram
+from repro.obs.metrics import LatencyHistogram
 
 
 def test_percentile_nearest_rank():
@@ -18,7 +18,7 @@ def test_percentile_nearest_rank():
 
 def test_percentile_unsorted_and_presorted_agree():
     samples = [5.0, 1.0, 3.0, 2.0, 4.0]
-    assert percentile(samples, 0.5) == percentile(sorted(samples), 0.5, presorted=True)
+    assert percentile(samples, 0.5) == percentile(sorted(samples), 0.5)
     assert percentile(samples, 1.0) == 5.0
 
 

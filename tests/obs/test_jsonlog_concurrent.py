@@ -5,9 +5,10 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
+from repro.obs.cli import breakdown_rows
 from repro.obs.jsonlog import TraceLogWriter, read_traces
 from repro.obs.sampling import Sampler
-from repro.obs.store import TraceStore, stage_durations
+from repro.obs.store import TraceStore
 from repro.obs.tracing import Tracer
 
 
@@ -71,7 +72,7 @@ def test_read_skips_torn_final_line(tmp_path: Path):
 
 
 # ------------------------------------------------- pooling over partial traces
-def test_stage_durations_pools_full_and_partial_traces():
+def test_breakdown_rows_pools_full_and_partial_traces():
     """A sampled stream mixes full traces with root-only partials; the
     pooling must simply see fewer child samples, never crash or skew."""
     clock = FakeClock()
@@ -103,8 +104,8 @@ def test_stage_durations_pools_full_and_partial_traces():
     partial = [t for t in traces if t.root.attributes.get("sampled_partial")]
     assert len(partial) == 1 and partial[0].span_names() == ["service.explain"]
 
-    pooled = stage_durations(traces)
-    assert sorted(pooled) == ["pipeline.encode", "service.explain"]
-    assert len(pooled["service.explain"]) == 2  # both roots pool
-    assert len(pooled["pipeline.encode"]) == 1  # only the full trace has it
-    assert max(pooled["service.explain"]) >= 0.9
+    rows = {row["stage"]: row for row in breakdown_rows(trace.to_dict() for trace in traces)}
+    assert sorted(rows) == ["pipeline.encode", "service.explain"]
+    assert rows["service.explain"]["count"] == 2  # both roots pool
+    assert rows["pipeline.encode"]["count"] == 1  # only the full trace has it
+    assert rows["service.explain"]["max ms"] >= 900.0

@@ -10,15 +10,13 @@ from repro.obs.promtext import (
     render_prometheus,
     render_sample,
 )
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def test_metric_name_sanitization():
     assert metric_name("requests.ok") == "repro_requests_ok"
     assert metric_name("latency.p95-ms") == "repro_latency_p95_ms"
     assert metric_name("stage.kb.search") == "repro_stage_kb_search"
-    # leading digits are guarded after namespace stripping
-    assert metric_name("9lives", namespace="") == "_9lives"
 
 
 def test_counter_and_gauge_rendering():
@@ -92,8 +90,8 @@ def test_render_sample_with_labels():
 
 
 def test_metric_name_never_empty():
-    assert metric_name("", namespace="") == "_"
-    assert metric_name("...", namespace="") == "___"
+    assert metric_name("") == "repro"
+    assert metric_name("...") == "repro____"
 
 
 # --------------------------------------------------------- format conformance

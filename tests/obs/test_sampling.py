@@ -153,16 +153,6 @@ def test_error_outranks_slow(clock: FakeClock):
     assert tracer.store.traces()[0].root.attributes["sampled"] == "tail_error"
 
 
-def test_tail_rules_can_be_disabled(clock: FakeClock):
-    sampler = Sampler(head_probability=0.0, keep_errors=False, keep_rejected=False)
-    tracer = sampled_tracer(clock, sampler)
-    root = tracer.span("service.explain", root=True, request_id="req-1")
-    root.set_attributes(status="rejected", error="ValueError")
-    root.end()
-    assert tracer.store.traces() == []
-    assert sampler.dropped == 1
-
-
 # ------------------------------------------------------------ slow-tail sweep
 def test_every_slow_trace_survives_one_percent_sampling(clock: FakeClock):
     """The tail rescue at scale: 1% head sampling, hundreds of traces."""

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.store import Trace, TraceStore, stage_durations
+from repro.obs.cli import breakdown_rows
+from repro.obs.store import Trace, TraceStore
 from repro.obs.tracing import Tracer
 
 
@@ -91,7 +92,7 @@ def test_store_validation():
         TraceStore(max_recent=0)
 
 
-def test_stage_durations_pools_by_name(clock: FakeClock):
+def test_breakdown_rows_pools_by_name(clock: FakeClock):
     store = TraceStore()
     tracer = Tracer(enabled=True, store=store, clock=clock)
     for _ in range(2):
@@ -102,10 +103,12 @@ def test_stage_durations_pools_by_name(clock: FakeClock):
             with tracer.span("generate"):
                 clock.now += 0.3
         root.end()
-    pooled = stage_durations(store.traces())
-    assert pooled["encode"] == pytest.approx([0.1, 0.1])
-    assert pooled["generate"] == pytest.approx([0.3, 0.3])
-    assert len(pooled["request"]) == 2
+    rows = {row["stage"]: row for row in breakdown_rows(trace.to_dict() for trace in store.traces())}
+    assert rows["encode"]["count"] == 2
+    assert rows["encode"]["total ms"] == pytest.approx(200.0)
+    assert rows["generate"]["count"] == 2
+    assert rows["generate"]["total ms"] == pytest.approx(600.0)
+    assert rows["request"]["count"] == 2
 
 
 def test_trace_to_dict_shape(clock: FakeClock):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.cli import render_trace_tree
 from repro.obs.store import TraceStore
 from repro.obs.tracing import (
+    MAX_SPANS_PER_TRACE,
     NULL_SPAN,
     Tracer,
     get_tracer,
@@ -148,15 +150,32 @@ def test_record_span_without_parent_is_noop(tracer: Tracer):
 
 # --------------------------------------------------------------- span bound
 def test_span_buffer_is_bounded(clock: FakeClock):
-    tracer = Tracer(enabled=True, max_spans_per_trace=4, clock=clock)
+    tracer = Tracer(enabled=True, clock=clock)
     with tracer.span("request", root=True):
-        for index in range(10):
+        for index in range(MAX_SPANS_PER_TRACE + 10):
             with tracer.span(f"s{index}"):
                 pass
     trace = tracer.store.recent(1)[0]
-    assert len(trace.spans) == 4
+    assert len(trace.spans) == MAX_SPANS_PER_TRACE + 1  # the capped children + the root
     dropped = tracer.metrics.counter("tracer.spans_dropped").value
-    assert dropped == 7  # 10 children + root = 11 finishes for 4 slots
+    assert dropped == 10  # children only: the root always lands
+
+
+def test_root_survives_span_cap(clock: FakeClock):
+    """A root finishes after its children, so a full buffer must not drop
+    it: the tree, /traces/<id> and the JSON-lines log all hang off it."""
+    tracer = Tracer(enabled=True, clock=clock)
+    with tracer.span("request", root=True) as root:
+        for _ in range(600):
+            with tracer.span("child"):
+                pass
+    trace = tracer.store.recent(1)[0]
+    assert root in trace.spans
+    payload = trace.to_dict()
+    assert [span["name"] for span in payload["spans"] if span["parent_id"] is None] == ["request"]
+    tree = render_trace_tree(payload).splitlines()
+    assert tree[1].startswith("└─ request")
+    assert len(tree) == 2 + MAX_SPANS_PER_TRACE  # header, root, capped children
 
 
 # ------------------------------------------------------------ stage metrics

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 
 from repro.service.batching import MicroBatcher
-from repro.service.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import MAX_SAMPLES, LatencyHistogram, MetricsRegistry
 
 
 # --------------------------------------------------------------- batching
@@ -145,15 +145,16 @@ def test_histogram_percentiles():
 
 
 def test_histogram_bounded_memory():
-    histogram = LatencyHistogram(max_samples=64)
-    for value in range(1000):
+    histogram = LatencyHistogram()
+    total = MAX_SAMPLES + 1000
+    for value in range(total):
         histogram.record(float(value))
-    assert histogram.count == 1000
+    assert histogram.count == total
     summary = histogram.summary()
-    assert summary["count"] == 1000
-    assert summary["max"] == 999.0
+    assert summary["count"] == total
+    assert summary["max"] == total - 1.0
     # Retained window is the most recent overwrites; percentile still sane.
-    assert 0.0 <= summary["p50"] <= 999.0
+    assert 0.0 <= summary["p50"] <= total - 1.0
 
 
 def test_empty_histogram_summary():
@@ -172,13 +173,13 @@ def test_empty_histogram_summary():
 def test_histogram_min_survives_ring_overwrite():
     """``min`` is all-time, not window-bound: the smallest sample must
     still be reported after the ring has overwritten it."""
-    histogram = LatencyHistogram(max_samples=4)
+    histogram = LatencyHistogram()
     histogram.record(0.001)
-    for value in range(10, 20):
+    for value in range(10, 10 + MAX_SAMPLES):
         histogram.record(float(value))
     summary = histogram.summary()
     assert summary["min"] == 0.001
-    assert summary["max"] == 19.0
+    assert summary["max"] == 9.0 + MAX_SAMPLES
 
 
 def test_snapshot_under_concurrent_writers():
