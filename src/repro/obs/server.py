@@ -19,9 +19,9 @@ The server is a :class:`~http.server.ThreadingHTTPServer` whose accept
 loop runs on a daemon thread, so it embeds cleanly in the thread-based
 serving stack: ``start()`` binds the socket before it returns
 (``port=0`` picks an ephemeral port, exposed as ``server.port``),
-``stop()`` shuts the loop down.  Every provider is a quick snapshot
-call, and each connection is one request/response (HTTP/1.0), which is
-all a scraper needs.
+``stop()`` shuts the loop down without waiting for open connections.
+Every provider is a quick snapshot call, and each connection is one
+request/response (HTTP/1.0), which is all a scraper needs.
 
 It is wired up for you by ``ExplanationService`` when
 ``ServiceConfig(admin_port=...)`` is set, or standalone via
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import socketserver
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -71,6 +72,7 @@ class _Handler(BaseHTTPRequestHandler):
     """Answers every method through :meth:`AdminServer._route`."""
 
     server: "_HTTPServer"
+    timeout = 10.0  # seconds; a client that sends no request is hung up on
 
     def __getattr__(self, name: str) -> Any:
         # http.server dispatches to do_<METHOD>; route them all, so a
@@ -97,6 +99,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _HTTPServer(ThreadingHTTPServer):
+    # Handler threads are daemons; stop() must not wait on a slow client.
+    block_on_close = False
+
     def __init__(self, admin: "AdminServer"):
         self.admin = admin
         super().__init__((admin.host, admin.port), _Handler)
@@ -104,6 +109,11 @@ class _HTTPServer(ThreadingHTTPServer):
     def server_bind(self) -> None:
         # Skip HTTPServer.server_bind's reverse-DNS lookup of the host.
         socketserver.TCPServer.server_bind(self)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A scraper that hangs up or stalls is not worth a traceback.
+        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
+            super().handle_error(request, client_address)
 
 
 class AdminServer:
