@@ -1,20 +1,21 @@
-"""Hand-written lexer for the SQL subset.
+"""Lexer for the SQL subset: one compiled pattern, walked by ``re.finditer``.
 
-The lexer is deliberately small: it recognises identifiers, keywords, numeric
-and string literals, parentheses, commas, ``*`` and the comparison operators
-used by TPC-H style queries.  Errors carry the offending position so parser
-errors are actionable.
+The lexer recognises identifiers, keywords, numeric and string literals,
+parentheses, commas, ``*``, ``.``, ``;`` and the comparison and arithmetic
+operators used by TPC-H style queries.  Each alternative of
+:data:`_PATTERN` is one token kind; a last catch-all alternative matches
+any character nothing else takes, so the matches tile the input and an
+error always carries the offending position.
+
+Digits are decimal digits only (``\\d``), so ``²`` or ``①`` is an
+unexpected character rather than a number that ``int()`` cannot read.
 """
 
 from __future__ import annotations
 
-from repro.htap.sql.tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPERATORS,
-    SINGLE_CHAR_OPERATORS,
-    Token,
-    TokenType,
-)
+import re
+
+from repro.htap.sql.tokens import KEYWORDS, Token, TokenType
 
 
 class LexerError(ValueError):
@@ -25,108 +26,60 @@ class LexerError(ValueError):
         self.position = position
 
 
+_PATTERN = re.compile(
+    r"""
+      (?P<space>\s+)
+    | (?P<punctuation>[,();*.])
+    | '(?P<string>[^']*(?:''[^']*)*)'(?!')      # '' escapes a quote
+    | (?P<number>\d+(?:\.\d+)?)                  # a dot needs a digit after it
+    | (?P<operator><>|!=|<=|>=|[=<>+\-/%])       # longest first
+    | (?P<word>[^\W\d]\w*)                       # its first character is checked below
+    | (?P<error>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_PUNCTUATION = {
+    ",": TokenType.COMMA,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    ";": TokenType.SEMICOLON,
+    "*": TokenType.STAR,
+    ".": TokenType.DOT,
+}
+
+
 def tokenize(sql: str) -> list[Token]:
     """Convert ``sql`` into a list of tokens ending with an EOF token."""
     tokens: list[Token] = []
-    index = 0
-    length = len(sql)
-    while index < length:
-        char = sql[index]
-        if char.isspace():
-            index += 1
+    append = tokens.append
+    for match in _PATTERN.finditer(sql):
+        kind = match.lastgroup
+        if kind == "space":
             continue
-        if char == "," :
-            tokens.append(Token(TokenType.COMMA, ",", index))
-            index += 1
-            continue
-        if char == "(":
-            tokens.append(Token(TokenType.LPAREN, "(", index))
-            index += 1
-            continue
-        if char == ")":
-            tokens.append(Token(TokenType.RPAREN, ")", index))
-            index += 1
-            continue
-        if char == ";":
-            tokens.append(Token(TokenType.SEMICOLON, ";", index))
-            index += 1
-            continue
-        if char == "*":
-            tokens.append(Token(TokenType.STAR, "*", index))
-            index += 1
-            continue
-        if char == ".":
-            tokens.append(Token(TokenType.DOT, ".", index))
-            index += 1
-            continue
-        if char == "'":
-            token, index = _read_string(sql, index)
-            tokens.append(token)
-            continue
-        if char.isdigit():
-            token, index = _read_number(sql, index)
-            tokens.append(token)
-            continue
-        multi = _match_operator(sql, index)
-        if multi is not None:
-            tokens.append(Token(TokenType.OPERATOR, multi, index))
-            index += len(multi)
-            continue
-        if char.isalpha() or char == "_":
-            token, index = _read_word(sql, index)
-            tokens.append(token)
-            continue
-        raise LexerError(f"unexpected character {char!r}", index)
-    tokens.append(Token(TokenType.EOF, "", length))
+        value = match[kind]
+        position = match.start()
+        if kind == "word":
+            # ``[^\W\d]`` also admits numeric characters such as ``½``
+            # and ``²``; a word starts with a letter or an underscore.
+            if value[0] != "_" and not value[0].isalpha():
+                raise LexerError(f"unexpected character {value[0]!r}", position)
+            upper = value.upper()
+            if upper in KEYWORDS:
+                append(Token(TokenType.KEYWORD, upper, position))
+            else:
+                append(Token(TokenType.IDENTIFIER, value.lower(), position))
+        elif kind == "punctuation":
+            append(Token(_PUNCTUATION[value], value, position))
+        elif kind == "number":
+            append(Token(TokenType.NUMBER, value, position))
+        elif kind == "operator":
+            append(Token(TokenType.OPERATOR, value, position))
+        elif kind == "string":
+            append(Token(TokenType.STRING, value.replace("''", "'"), position))
+        elif value == "'":
+            raise LexerError("unterminated string literal", position)
+        else:
+            raise LexerError(f"unexpected character {value!r}", position)
+    append(Token(TokenType.EOF, "", len(sql)))
     return tokens
-
-
-def _read_string(sql: str, start: int) -> tuple[Token, int]:
-    """Read a single-quoted string literal starting at ``start``."""
-    index = start + 1
-    chars: list[str] = []
-    while index < len(sql):
-        char = sql[index]
-        if char == "'":
-            # '' escapes a quote inside the literal.
-            if index + 1 < len(sql) and sql[index + 1] == "'":
-                chars.append("'")
-                index += 2
-                continue
-            return Token(TokenType.STRING, "".join(chars), start), index + 1
-        chars.append(char)
-        index += 1
-    raise LexerError("unterminated string literal", start)
-
-
-def _read_number(sql: str, start: int) -> tuple[Token, int]:
-    index = start
-    seen_dot = False
-    while index < len(sql) and (sql[index].isdigit() or (sql[index] == "." and not seen_dot)):
-        if sql[index] == ".":
-            # A trailing dot followed by a non-digit belongs to the next token.
-            if index + 1 >= len(sql) or not sql[index + 1].isdigit():
-                break
-            seen_dot = True
-        index += 1
-    return Token(TokenType.NUMBER, sql[start:index], start), index
-
-
-def _read_word(sql: str, start: int) -> tuple[Token, int]:
-    index = start
-    while index < len(sql) and (sql[index].isalnum() or sql[index] == "_"):
-        index += 1
-    word = sql[start:index]
-    if word.upper() in KEYWORDS:
-        return Token(TokenType.KEYWORD, word.upper(), start), index
-    return Token(TokenType.IDENTIFIER, word.lower(), start), index
-
-
-def _match_operator(sql: str, index: int) -> str | None:
-    for operator in MULTI_CHAR_OPERATORS:
-        if sql.startswith(operator, index):
-            return operator
-    for operator in SINGLE_CHAR_OPERATORS:
-        if sql.startswith(operator, index):
-            return operator
-    return None

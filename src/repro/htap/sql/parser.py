@@ -102,10 +102,10 @@ class _Parser:
             order_by = tuple(self._parse_order_list())
         limit = None
         if self.accept_keyword("LIMIT"):
-            limit = int(self.expect(TokenType.NUMBER).value)
+            limit = self._parse_count()
         offset = None
         if self.accept_keyword("OFFSET"):
-            offset = int(self.expect(TokenType.NUMBER).value)
+            offset = self._parse_count()
         self.accept(TokenType.SEMICOLON)
         if self.current.type != TokenType.EOF:
             raise ParserError("unexpected trailing input", self.current)
@@ -236,7 +236,7 @@ class _Parser:
             if token.type == TokenType.STRING:
                 values.append(ast.Literal(self.advance().value))
             elif token.type == TokenType.NUMBER:
-                values.append(ast.Literal(_numeric(self.advance().value)))
+                values.append(ast.Literal(self._parse_number()))
             else:
                 raise ParserError("expected literal in IN list", token)
             if not self.accept(TokenType.COMMA):
@@ -247,8 +247,7 @@ class _Parser:
     def _parse_primary(self) -> ast.Expression:
         token = self.current
         if token.type == TokenType.NUMBER:
-            self.advance()
-            return ast.Literal(_numeric(token.value))
+            return ast.Literal(self._parse_number())
         if token.type == TokenType.STRING:
             self.advance()
             return ast.Literal(token.value)
@@ -274,6 +273,23 @@ class _Parser:
             return ast.ColumnRef(name=token.value)
         raise ParserError("expected expression", token)
 
+    def _parse_number(self) -> int | float:
+        token = self.expect(TokenType.NUMBER)
+        if "." in token.value:
+            return float(token.value)
+        try:
+            return int(token.value)
+        except ValueError:  # more digits than int() converts
+            raise ParserError("integer too long", token) from None
+
+    def _parse_count(self) -> int:
+        """The whole number after LIMIT or OFFSET."""
+        token = self.current
+        value = self._parse_number()
+        if not isinstance(value, int):
+            raise ParserError("expected an integer", token)
+        return value
+
     def _parse_function_call(self, name: str) -> ast.FunctionCall:
         self.expect(TokenType.LPAREN)
         distinct = self.accept_keyword("DISTINCT")
@@ -284,12 +300,6 @@ class _Parser:
                 args.append(self._parse_expression())
             self.expect(TokenType.RPAREN)
         return ast.FunctionCall(name=name.upper(), args=tuple(args), distinct=distinct)
-
-
-def _numeric(text: str) -> int | float:
-    if "." in text:
-        return float(text)
-    return int(text)
 
 
 def parse_query(sql: str) -> ast.Query:

@@ -1,9 +1,9 @@
-"""Token definitions for the SQL lexer."""
+"""Token types, keywords and the token tuple the SQL lexer emits."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -58,14 +58,13 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, checked before single-character ones.
-MULTI_CHAR_OPERATORS = ("<>", "!=", "<=", ">=")
-SINGLE_CHAR_OPERATORS = ("=", "<", ">", "+", "-", "/", "%")
 
+class Token(NamedTuple):
+    """A single lexical token with its source position (for error messages).
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source position (for error messages)."""
+    A named tuple: the lexer builds one per token of every planned query,
+    and a tuple is the cheapest immutable record to construct.
+    """
 
     type: TokenType
     value: str

@@ -1,11 +1,13 @@
-"""Storage layer simulation: row store (TP) and column store (AP)."""
+"""Storage layer models: row store (TP) and column store (AP).
 
-from repro.htap.storage.btree import BPlusTree
+Both are analytical: page counts, index heights and compressed sizes derive
+from catalog cardinalities, and no rows or index trees are materialised.
+"""
+
 from repro.htap.storage.row_store import RowStoreStats, RowStoreModel
 from repro.htap.storage.column_store import ColumnStoreStats, ColumnStoreModel
 
 __all__ = [
-    "BPlusTree",
     "RowStoreStats",
     "RowStoreModel",
     "ColumnStoreStats",

@@ -5,18 +5,18 @@ on primary keys, foreign keys, and any user-created secondary indexes.  The
 model exposes the quantities the TP optimizer and the latency model need:
 
 * pages per table (drives full-scan cost),
-* index height and matching-leaf estimates (drives index-lookup cost),
-* per-row access cost constants for sequential vs random access.
+* index height and matching-leaf estimates (drives index-lookup cost).
 
-No rows are materialised; everything derives from catalog cardinalities.
+No rows are materialised and no tree is built; everything derives from
+catalog cardinalities, the index height from the B+-tree height formula.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.htap.catalog import Catalog, Index
-from repro.htap.storage.btree import BPlusTree
 
 #: Heap page size for the row store.
 PAGE_SIZE_BYTES = 8192
@@ -24,6 +24,13 @@ PAGE_SIZE_BYTES = 8192
 FILL_FACTOR = 0.9
 #: Default B+-tree fanout used for index height estimation.
 INDEX_FANOUT = 256
+
+
+def _estimated_height(entry_count: int) -> int:
+    """Height of a B+-tree over ``entry_count`` keys, nodes half full."""
+    if entry_count <= 1:
+        return 1
+    return max(1, math.ceil(math.log(entry_count, INDEX_FANOUT // 2)))
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ class RowStoreModel:
     def index_height(self, index: Index) -> int:
         """Height of the B+-tree backing ``index``."""
         row_count = self.catalog.row_count(index.table)
-        return BPlusTree.estimated_height(row_count, order=INDEX_FANOUT)
+        return _estimated_height(row_count)
 
     def index_lookup_pages(self, index: Index, matching_rows: float) -> float:
         """Pages touched by an index lookup returning ``matching_rows`` rows.

@@ -34,7 +34,7 @@ import time
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 from repro.obs.store import Trace, TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -257,6 +257,8 @@ class Tracer:
         self._clock = clock
         self._lock = threading.Lock()
         self._live: dict[str, list[Span]] = {}
+        #: ``stage.<name>`` histogram per span name, resolved on first finish.
+        self._stages: dict[str, LatencyHistogram] = {}
 
     # ----------------------------------------------------------- lifecycle
     @property
@@ -361,7 +363,11 @@ class Tracer:
         if span.end_seconds is not None:  # idempotent
             return
         span.end_seconds = self._clock() if end_seconds is None else end_seconds
-        self.metrics.histogram(f"stage.{span.name}").record(span.duration_seconds)
+        stage = self._stages.get(span.name)
+        if stage is None:
+            # A race only resolves the same registry histogram twice.
+            stage = self._stages[span.name] = self.metrics.histogram(f"stage.{span.name}")
+        stage.record(span.duration_seconds)
         if span.parent_id is None and not span.recording:
             self._finish_undecided_root(span)
             return

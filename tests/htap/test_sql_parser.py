@@ -1,6 +1,9 @@
 """Tests for the SQL lexer and parser."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.htap.sql import ast
 from repro.htap.sql.lexer import LexerError, tokenize
@@ -159,3 +162,53 @@ def test_query_is_hashable_and_comparable():
     second = parse_query("SELECT c_name FROM customer WHERE c_custkey = 1;")
     assert first.select_items == second.select_items
     assert first.where == second.where
+
+
+# ------------------------------------------------------- malformed numbers
+@pytest.mark.parametrize(
+    ("sql", "position"),
+    [
+        ("SELECT o_orderkey FROM orders LIMIT 1.5;", 36),
+        ("SELECT o_orderkey FROM orders LIMIT 10 OFFSET 2.5;", 46),
+    ],
+)
+def test_fractional_limit_or_offset_is_a_parser_error(sql, position):
+    with pytest.raises(ParserError) as raised:
+        parse_query(sql)
+    assert raised.value.token.type == TokenType.NUMBER
+    assert raised.value.token.position == position
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() converts any length on this interpreter",
+)
+def test_integer_longer_than_int_converts_is_a_parser_error():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParserError) as raised:
+        parse_query(f"SELECT o_orderkey FROM orders WHERE o_orderkey = {digits};")
+    assert raised.value.token.value == digits
+
+
+_FUZZ_PIECES = st.sampled_from(
+    [
+        "SELECT ", "FROM ", "WHERE ", "AND ", "OR ", "NOT ", "IN ", "BETWEEN ", "LIKE ", "IS ",
+        "NULL ", "GROUP BY ", "ORDER BY ", "HAVING ", "LIMIT ", "OFFSET ", "ASC ", "DESC ",
+        "AS ", "COUNT", "SUM", "DISTINCT ", "JOIN ", "INNER ", "ON ",
+        "orders ", "customer ", "c_name ", "o_totalprice ", "t.", "x ",
+        "0 ", "7 ", "42 ", "1.5 ", "2.5", "3.",
+        "'a' ", "'o''brien' ", "'' ", "'",
+        "= ", "<> ", "!= ", "<= ", ">= ", "< ", "> ", "+ ", "- ", "/ ", "% ",
+        ", ", "(", ")", "*", ";", ".", " ",
+        "²", "①", "٣",
+    ]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_FUZZ_PIECES, max_size=24).map("".join))
+def test_parse_query_raises_only_parser_or_lexer_errors(sql):
+    try:
+        parse_query(sql)
+    except (ParserError, LexerError):
+        pass

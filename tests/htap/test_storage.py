@@ -1,82 +1,17 @@
-"""Tests for the B+-tree and the row/column storage models."""
+"""Tests for the row/column storage models."""
 
 import pytest
 
-from repro.htap.storage.btree import BPlusTree
 from repro.htap.storage.column_store import ColumnStoreModel
-from repro.htap.storage.row_store import RowStoreModel, PAGE_SIZE_BYTES
+from repro.htap.storage.row_store import PAGE_SIZE_BYTES, RowStoreModel, _estimated_height
 
 
-# ------------------------------------------------------------------ b+tree
-def test_btree_insert_and_search():
-    tree = BPlusTree(order=4)
-    for key in range(100):
-        tree.insert(key, f"row-{key}")
-    assert len(tree) == 100
-    assert tree.search(42) == ["row-42"]
-    assert tree.search(1000) == []
-    assert 42 in tree
-    assert 1000 not in tree
-
-
-def test_btree_duplicate_keys_accumulate():
-    tree = BPlusTree(order=8)
-    tree.insert("x", 1)
-    tree.insert("x", 2)
-    tree.insert("x", 3)
-    assert sorted(tree.search("x")) == [1, 2, 3]
-    assert len(tree) == 3
-
-
-def test_btree_range_scan_in_order():
-    tree = BPlusTree(order=4)
-    for key in range(0, 200, 2):
-        tree.insert(key, key * 10)
-    scanned = list(tree.range_scan(10, 20))
-    assert [key for key, _value in scanned] == [10, 12, 14, 16, 18, 20]
-    assert [value for _key, value in scanned] == [100, 120, 140, 160, 180, 200]
-
-
-def test_btree_items_sorted_even_with_random_insertion_order():
-    import random
-
-    keys = list(range(500))
-    random.Random(3).shuffle(keys)
-    tree = BPlusTree(order=16)
-    for key in keys:
-        tree.insert(key, key)
-    assert [key for key, _ in tree.items()] == sorted(range(500))
-
-
-def test_btree_delete_removes_all_values():
-    tree = BPlusTree(order=4)
-    for key in range(50):
-        tree.insert(key, key)
-    removed = tree.delete(25)
-    assert removed == 1
-    assert tree.search(25) == []
-    assert len(tree) == 49
-    assert tree.delete(25) == 0
-
-
-def test_btree_height_grows_slowly():
-    tree = BPlusTree(order=32)
-    for key in range(5_000):
-        tree.insert(key, key)
-    assert tree.height <= 4
-    assert tree.leaf_count() >= 5_000 // 33
-
-
-def test_btree_rejects_tiny_order():
-    with pytest.raises(ValueError):
-        BPlusTree(order=2)
-
-
+# ---------------------------------------------------------- index height
 def test_estimated_height_monotone():
-    small = BPlusTree.estimated_height(1_000)
-    large = BPlusTree.estimated_height(1_000_000_000)
+    small = _estimated_height(1_000)
+    large = _estimated_height(1_000_000_000)
     assert small <= large
-    assert BPlusTree.estimated_height(1) == 1
+    assert _estimated_height(1) == 1
 
 
 # --------------------------------------------------------------- row store

@@ -11,38 +11,10 @@ from repro.htap.sql import ast
 from repro.htap.sql.parser import parse_query
 from repro.htap.statistics import StatisticsCatalog
 from repro.htap.catalog import Catalog
-from repro.htap.storage.btree import BPlusTree
 from repro.knowledge.vector_store import FlatVectorStore, HNSWVectorStore
 
 _CATALOG = Catalog(scale_factor=100)
 _STATISTICS = StatisticsCatalog(_CATALOG)
-
-
-# ------------------------------------------------------------------ B+tree
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=-10_000, max_value=10_000), min_size=0, max_size=300))
-def test_btree_items_always_sorted_and_complete(keys):
-    tree = BPlusTree(order=8)
-    for position, key in enumerate(keys):
-        tree.insert(key, position)
-    assert len(tree) == len(keys)
-    emitted = [key for key, _value in tree.items()]
-    assert emitted == sorted(keys)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=200),
-    st.integers(min_value=0, max_value=500),
-    st.integers(min_value=0, max_value=500),
-)
-def test_btree_range_scan_matches_filter(keys, low, high):
-    low, high = min(low, high), max(low, high)
-    tree = BPlusTree(order=6)
-    for key in keys:
-        tree.insert(key, key)
-    scanned = [key for key, _value in tree.range_scan(low, high)]
-    assert scanned == sorted(key for key in keys if low <= key <= high)
 
 
 # ------------------------------------------------------------ vector store
