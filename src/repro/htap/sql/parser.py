@@ -20,7 +20,8 @@ Grammar (informal):
     primary    := literal | ident['.'ident] | func '(' args ')' | '(' expr ')' | '*'
 
 The parser produces :mod:`repro.htap.sql.ast` nodes.  It raises
-:class:`ParserError` with the offending token position on malformed input.
+:class:`ParserError` with the offending token position on malformed input,
+nesting deeper than :data:`MAX_NESTING_DEPTH` included.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from __future__ import annotations
 from repro.htap.sql import ast
 from repro.htap.sql.lexer import tokenize
 from repro.htap.sql.tokens import Token, TokenType
+
+#: Levels of parentheses, call arguments and NOTs one expression may nest.
+#: A level costs up to six frames, so a parse stays far from RecursionError.
+MAX_NESTING_DEPTH = 64
 
 
 class ParserError(ValueError):
@@ -43,6 +48,7 @@ class _Parser:
         self.sql = sql
         self.tokens = tokenize(sql)
         self.index = 0
+        self.depth = -1  # a top-level expression is at depth 0
 
     # ---------------------------------------------------------------- helpers
     @property
@@ -195,9 +201,16 @@ class _Parser:
         return left
 
     def _parse_not(self) -> ast.Expression:
+        # Every nesting level, a '(' or a call's '(' or a NOT, passes here.
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise ParserError(f"nesting deeper than {MAX_NESTING_DEPTH}", self.tokens[self.index - 1])
         if self.accept_keyword("NOT"):
-            return ast.Not(self._parse_not())
-        return self._parse_predicate()
+            expression: ast.Expression = ast.Not(self._parse_not())
+        else:
+            expression = self._parse_predicate()
+        self.depth -= 1
+        return expression
 
     def _parse_predicate(self) -> ast.Expression:
         left = self._parse_primary()

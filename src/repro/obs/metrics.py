@@ -12,6 +12,7 @@ nearest-rank convention as every other percentile in the repo.
 from __future__ import annotations
 
 import threading
+from typing import Any, Callable
 
 from repro.obs.stats import percentile, summarize
 
@@ -142,3 +143,19 @@ class MetricsRegistry:
         for name, histogram in histograms.items():
             payload[name] = histogram.summary()
         return payload
+
+
+class MetricFamily(dict):
+    """``family[label]`` is ``make(f"{prefix}.{label}")``, a registry counter
+    or histogram resolved on first use and kept: a hot path pays a dict
+    lookup, not an f-string and the registry lock.  Threads that miss
+    together resolve the same registry metric."""
+
+    def __init__(self, make: Callable[[str], Any], prefix: str):
+        super().__init__()
+        self._make = make
+        self._prefix = prefix
+
+    def __missing__(self, label: str) -> Any:
+        metric = self[label] = self._make(f"{self._prefix}.{label}")
+        return metric

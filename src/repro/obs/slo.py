@@ -82,8 +82,9 @@ def default_service_objectives() -> tuple[Objective, ...]:
 
     ``availability`` burns its budget on internal failures and on the
     rejections the service causes: ``queue_full``, ``deadline_exceeded``
-    and ``service_closed``.  ``quota_exceeded`` does not burn it: that
-    rejection enforces the tenant's own declared limit, like HTTP 429.
+    and ``service_closed``.  ``quota_exceeded`` (the tenant's own declared
+    limit, like HTTP 429) and ``invalid_sql`` (the caller's own bad SQL,
+    like HTTP 400) do not burn it.
     """
     return (
         LatencyObjective(

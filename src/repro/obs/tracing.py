@@ -34,7 +34,7 @@ import time
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import MetricFamily, MetricsRegistry
 from repro.obs.store import Trace, TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -258,7 +258,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._live: dict[str, list[Span]] = {}
         #: ``stage.<name>`` histogram per span name, resolved on first finish.
-        self._stages: dict[str, LatencyHistogram] = {}
+        self._stages = MetricFamily(self.metrics.histogram, "stage")
+        self._counters = MetricFamily(self.metrics.counter, "tracer")
 
     # ----------------------------------------------------------- lifecycle
     @property
@@ -363,11 +364,7 @@ class Tracer:
         if span.end_seconds is not None:  # idempotent
             return
         span.end_seconds = self._clock() if end_seconds is None else end_seconds
-        stage = self._stages.get(span.name)
-        if stage is None:
-            # A race only resolves the same registry histogram twice.
-            stage = self._stages[span.name] = self.metrics.histogram(f"stage.{span.name}")
-        stage.record(span.duration_seconds)
+        self._stages[span.name].record(span.duration_seconds)
         if span.parent_id is None and not span.recording:
             self._finish_undecided_root(span)
             return
@@ -383,13 +380,13 @@ class Tracer:
                 elif len(buffer) < MAX_SPANS_PER_TRACE:
                     buffer.append(span)
                 else:
-                    self.metrics.counter("tracer.spans_dropped").increment()
+                    self._counters["spans_dropped"].increment()
         if completed is not None:
             if self.sampler is not None:
                 span.attributes.setdefault("sampled", "head")
                 self.sampler.record_kept("head")
             trace = Trace(trace_id=span.trace_id, root=span, spans=completed)
-            self.metrics.counter("tracer.traces").increment()
+            self._counters["traces"].increment()
             self.store.add(trace)
             if self.writer is not None:
                 self.writer.write(trace)
@@ -411,7 +408,7 @@ class Tracer:
         span.attributes.setdefault("sampled", f"tail_{reason}")
         span.attributes.setdefault("sampled_partial", True)
         trace = Trace(trace_id=span.trace_id, root=span, spans=[span])
-        self.metrics.counter("tracer.traces").increment()
+        self._counters["traces"].increment()
         sampler.record_kept(reason)
         self.store.add(trace)
         if self.writer is not None:

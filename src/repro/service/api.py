@@ -43,6 +43,7 @@ class ServiceErrorCode(str, Enum):
     DEADLINE_EXCEEDED = "deadline_exceeded"
     QUOTA_EXCEEDED = "quota_exceeded"
     SERVICE_CLOSED = "service_closed"
+    INVALID_SQL = "invalid_sql"  # did not lex or parse: not retryable
     INTERNAL_ERROR = "internal_error"
 
 

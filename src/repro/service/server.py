@@ -41,14 +41,17 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures._base import FINISHED, LOGGER
 
 from repro.explainer.pipeline import Explanation, RagExplainer, execution_result_text
 from repro.htap.catalog import Index
+from repro.htap.sql.lexer import LexerError
+from repro.htap.sql.parser import ParserError
 from repro.htap.system import HTAPSystem
 from repro.knowledge.knowledge_base import DEFAULT_TENANT, KnowledgeBase
 from repro.llm.client import LLMClient
 from repro.llm.prompts import PromptBuilder, QuestionAttachment
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricFamily, MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, Span, Tracer, get_tracer
 from repro.router.router import SmartRouter
 from repro.service.api import (
@@ -64,10 +67,42 @@ from repro.service.fingerprint import plan_key, request_keys
 from repro.service.tenancy import TenantRegistry
 
 
-def _completed(result: ExplainResult) -> "Future[ExplainResult]":
-    future: "Future[ExplainResult]" = Future()
-    future.set_result(result)
-    return future
+class _FinishedFuture(Future):
+    """A future born FINISHED: no ``Condition`` to build, set or take.  The
+    stdlib's ``wait`` and ``as_completed`` still reach into ``_condition``
+    and ``_waiters``; each future makes its own on first use."""
+
+    _state = FINISHED
+    _exception = None
+
+    def __init__(self, result: ExplainResult):
+        self._result = result
+
+    def __getattr__(self, name: str):
+        # Only what __init__ skipped; setdefault is atomic, so racers share one.
+        if name not in ("_condition", "_waiters"):
+            raise AttributeError(name)
+        return self.__dict__.setdefault(name, threading.Condition() if name == "_condition" else [])
+
+    def result(self, timeout: float | None = None) -> ExplainResult:
+        return self._result
+
+    def exception(self, timeout: float | None = None) -> None:
+        return None
+
+    def done(self) -> bool:
+        return True
+
+    def _false(self) -> bool:
+        return False
+
+    running = cancelled = cancel = _false
+
+    def add_done_callback(self, fn) -> None:
+        try:
+            fn(self)
+        except Exception:
+            LOGGER.exception("exception calling callback for %r", self)
 
 
 #: Root span name for one served request; ``repro-trace`` trees hang off it.
@@ -102,10 +137,12 @@ class ExplanationService:
             top_k=config.top_k, prompt_builder=prompt_builder,
         )
         self.metrics = MetricsRegistry()
-        # Resolved once: every L1 hit touches these three.
+        # Resolved once: every L1 hit touches these three and its tenant's.
         self._submitted = self.metrics.counter("requests.submitted")
         self._ok = self.metrics.counter("requests.ok")
         self._warm_seconds = self.metrics.histogram("latency.warm_seconds")
+        self._tenant_requests = MetricFamily(self.metrics.counter, "requests.tenant")
+        self._rejected = MetricFamily(self.metrics.counter, "requests.rejected")
         self.cache = ServiceCache()
         self.batcher = MicroBatcher(router, metrics=self.metrics)
         self._executor = ThreadPoolExecutor(
@@ -235,7 +272,8 @@ class ExplanationService:
         requests cost a dict lookup and never occupy a worker or a queue
         slot.  When the in-flight budget is exhausted the request is shed
         with a ``QUEUE_FULL`` rejection; a tenant over its declared quota
-        is shed with ``QUOTA_EXCEEDED``.
+        is shed with ``QUOTA_EXCEEDED``.  A hit or a refusal returns a
+        future born finished, and with tracing off builds no span.
         """
         request = ExplainRequest(
             sql=sql,
@@ -246,9 +284,11 @@ class ExplanationService:
             tenant=tenant,
         )
         self._submitted.increment()
-        self.metrics.counter(f"requests.tenant.{tenant}").increment()
+        self._tenant_requests[tenant].increment()
         tracer = get_tracer()
-        root = tracer.span(ROOT_SPAN_NAME, root=True, request_id=request.request_id, tenant=tenant)
+        root = NULL_SPAN
+        if traced := tracer.enabled:
+            root = tracer.span(ROOT_SPAN_NAME, root=True, request_id=request.request_id, tenant=tenant)
         if self._closed:
             return self._refuse(request, root, ServiceErrorCode.SERVICE_CLOSED, "service is shut down")
         if not self.tenants.try_admit(tenant):
@@ -262,12 +302,14 @@ class ExplanationService:
         # a miss derives its plan key from the same normalized text.
         normalized, cache_key = request_keys(sql, user_notes, self.explainer.top_k, tenant)
         levels = self.cache.level(tenant)
-        with tracer.attach(root):
-            cached = self._l1_lookup(tracer, levels, cache_key)
+        if traced:
+            cached = self._l1_lookup(tracer, levels, cache_key, root)
+        else:
+            cached = levels.explanations.get(cache_key)
         if cached is not None:
             result = self._l1_hit(request, cached, root)
             root.end()
-            return _completed(result)
+            return _FinishedFuture(result)
         with self._admission_lock:
             if self._in_flight >= self.config.max_in_flight:
                 return self._refuse(
@@ -291,7 +333,7 @@ class ExplanationService:
         """Count a refused request once, as ``requests.rejected.<code>``,
         and stamp the reason on its root span, so refused traffic is
         visible both in the metrics exposition and in individual traces."""
-        self.metrics.counter(f"requests.rejected.{code.value}").increment()
+        self._rejected[code.value].increment()
         root.set_attributes(status="rejected", rejected_reason=code.value)
 
     def _refuse(
@@ -300,12 +342,13 @@ class ExplanationService:
         """Reject a request at admission: tag and close its root span."""
         self._tag_rejection(root, code)
         root.end()
-        return _completed(ExplainResult.rejection(request.request_id, code, message))
+        return _FinishedFuture(ExplainResult.rejection(request.request_id, code, message))
 
-    def _l1_lookup(self, tracer: Tracer, levels: CacheLevels, cache_key: str) -> Explanation | None:
-        with tracer.span("cache.l1_lookup") as lookup:
-            cached = levels.explanations.get(cache_key)
-            lookup.set_attribute("hit", cached is not None)
+    def _l1_lookup(self, tracer: Tracer, levels: CacheLevels, key: str, root: "Span") -> Explanation | None:
+        lookup = tracer.span("cache.l1_lookup", parent=root)
+        cached = levels.explanations.get(key)
+        lookup.set_attribute("hit", cached is not None)
+        lookup.end()
         return cached
 
     def _l1_hit(
@@ -404,7 +447,7 @@ class ExplanationService:
         tenant = request.tenant
         levels = self.cache.level(tenant)
         tracer = get_tracer()
-        cached = self._l1_lookup(tracer, levels, cache_key)
+        cached = self._l1_lookup(tracer, levels, cache_key, root)
         if cached is not None:
             return self._l1_hit(request, cached, root, queue_seconds)
 
@@ -419,7 +462,10 @@ class ExplanationService:
             lookup.set_attribute("hit", plan_entry is not None)
         encode_seconds = 0.0
         if plan_entry is None:
-            execution = self.system.run_both(request.sql)
+            try:
+                execution = self.system.run_both(request.sql)
+            except (LexerError, ParserError) as exc:  # the caller's input, not a fault
+                return self._cut_short(request, root, queue_seconds, ServiceErrorCode.INVALID_SQL, str(exc))
             encode_start = time.perf_counter()
             try:
                 with tracer.span("pipeline.encode", batched=True):

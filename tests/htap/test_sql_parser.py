@@ -5,10 +5,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.htap.sql import ast
+from repro.htap.sql import ast, parser
 from repro.htap.sql.lexer import LexerError, tokenize
-from repro.htap.sql.parser import ParserError, parse_query
+from repro.htap.sql.parser import MAX_NESTING_DEPTH, ParserError, parse_query
 from repro.htap.sql.tokens import TokenType
+from repro.workloads.generator import WorkloadGenerator
 
 
 # ------------------------------------------------------------------- lexer
@@ -188,6 +189,34 @@ def test_integer_longer_than_int_converts_is_a_parser_error():
     with pytest.raises(ParserError) as raised:
         parse_query(f"SELECT o_orderkey FROM orders WHERE o_orderkey = {digits};")
     assert raised.value.token.value == digits
+
+
+# ----------------------------------------------------------------- nesting
+@pytest.mark.parametrize(
+    ("opener", "closer", "count"),
+    [("(", ")", 200), ("NOT ", "", 1000), ("COUNT(", ")", 200)],
+)
+def test_deep_nesting_is_a_parser_error_at_the_crossing_token(opener, closer, count):
+    where = f"{opener * count}c_custkey = 1{closer * count}"
+    sql = f"SELECT c_name FROM customer WHERE {where};"
+    with pytest.raises(ParserError, match="nesting deeper than") as raised:
+        parse_query(sql)
+    crossing = sql.index(where) + MAX_NESTING_DEPTH * len(opener) + max(opener.find("("), 0)
+    assert raised.value.token.position == crossing
+
+
+@pytest.mark.parametrize("opener", ["(", "NOT "])
+def test_nesting_at_the_limit_still_parses(opener):
+    closer = ")" if opener == "(" else ""
+    depth = MAX_NESTING_DEPTH
+    parse_query(f"SELECT c_name FROM customer WHERE {opener * depth}c_custkey = 1{closer * depth};")
+
+
+def test_generated_workload_nests_far_below_the_limit(monkeypatch):
+    # Every generated query still parses with an eighth of the limit.
+    monkeypatch.setattr(parser, "MAX_NESTING_DEPTH", MAX_NESTING_DEPTH // 8)
+    for query in WorkloadGenerator(seed=3).generate(600):
+        parse_query(query.sql)
 
 
 _FUZZ_PIECES = st.sampled_from(

@@ -196,6 +196,39 @@ def test_each_rejection_counted_once_and_only_service_caused_ones_burn(service_s
     assert sum(snapshot.get(key, 0) for key in availability.bad) == 3
 
 
+def test_invalid_sql_is_one_typed_rejection_that_burns_no_availability(service):
+    bad = ["SELECT FROM", "THIS IS NOT SQL", "SELECT c_name FROM customer WHERE c_name = 'open"]
+    bad.append("SELECT c_name FROM customer WHERE " + "(" * 200 + "c_custkey = 1" + ")" * 200)
+    for sql in bad:
+        result = service.explain(sql)
+        assert result.status is RequestStatus.FAILED
+        assert result.error.code is ServiceErrorCode.INVALID_SQL
+        assert not result.error.retryable
+    snapshot = service.metrics_snapshot()
+    assert snapshot["requests.rejected.invalid_sql"] == len(bad)
+    assert "requests.failed" not in snapshot
+    rejected = sum(v for k, v in snapshot.items() if k.startswith("requests.rejected."))
+    assert snapshot["requests.submitted"] == snapshot["requests.ok"] + rejected
+    assert snapshot["in_flight"] == 0
+    availability = next(o for o in default_service_objectives() if o.name == "availability")
+    assert sum(snapshot.get(key, 0) for key in availability.bad) == 0
+
+
+def test_internal_fault_is_counted_failed(service, service_stack):
+    system, _router, _kb, _llm, sqls, _labeled = service_stack
+    system.run_both = lambda sql: 1 / 0
+    try:
+        result = service.explain(sqls[0])
+    finally:
+        del system.run_both
+    assert result.status is RequestStatus.FAILED
+    assert result.error.code is ServiceErrorCode.INTERNAL_ERROR
+    snapshot = service.metrics_snapshot()
+    assert snapshot["requests.failed"] == 1
+    assert not [k for k in snapshot if k.startswith("requests.rejected.")]
+    assert snapshot["in_flight"] == 0
+
+
 def test_shutdown_mid_request_resolves_service_closed_counted_once(service_stack):
     """A cold request still in flight when ``shutdown(wait=False)`` closes
     the batcher is a lifecycle outcome, not an internal error."""
@@ -307,9 +340,9 @@ def test_metrics_snapshot_shape(service, service_stack):
 
 
 def test_error_results_never_raise(service):
-    # Unparseable SQL must come back as a typed INTERNAL_ERROR failure.
+    # Unparseable SQL must come back as a typed INVALID_SQL failure.
     result = service.explain("THIS IS NOT SQL")
     assert result.status is RequestStatus.FAILED
-    assert result.error.code is ServiceErrorCode.INTERNAL_ERROR
+    assert result.error.code is ServiceErrorCode.INVALID_SQL
     assert not result.ok
     assert result.text is None
