@@ -49,6 +49,8 @@ class LatencyHistogram:
     without a random source).  Sorting happens on the rare read side.
     """
 
+    __slots__ = ("_lock", "_ring", "_cursor", "_count", "_total", "_min", "_max")
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ring: list[float] = []

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Trace:
     """One finished request: the root span plus every descendant."""
 
@@ -91,16 +91,14 @@ class TraceStore:
 
     # ------------------------------------------------------------------ write
     def add(self, trace: Trace) -> None:
+        duration = trace.duration_seconds
         with self._lock:
             self._added += 1
             self._recent.append(trace)
-            if self.max_slow == 0:
-                return
-            item = (trace.duration_seconds, next(self._tiebreak), trace)
             if len(self._slow) < self.max_slow:
-                heapq.heappush(self._slow, item)
-            elif trace.duration_seconds > self._slow[0][0]:
-                heapq.heapreplace(self._slow, item)
+                heapq.heappush(self._slow, (duration, next(self._tiebreak), trace))
+            elif self.max_slow and duration > self._slow[0][0]:
+                heapq.heapreplace(self._slow, (duration, next(self._tiebreak), trace))
 
     def clear(self) -> None:
         with self._lock:

@@ -313,7 +313,7 @@ class Tracer:
             f"s-{next(_SPAN_IDS):08d}",
             parent_id,
             now,
-            dict(attributes),
+            attributes,
             recording,
         )
 
@@ -363,8 +363,8 @@ class Tracer:
     def _finish(self, span: Span, *, end_seconds: float | None = None) -> None:
         if span.end_seconds is not None:  # idempotent
             return
-        span.end_seconds = self._clock() if end_seconds is None else end_seconds
-        self._stages[span.name].record(span.duration_seconds)
+        span.end_seconds = end = self._clock() if end_seconds is None else end_seconds
+        self._stages[span.name].record(end - span.start_seconds)
         if span.parent_id is None and not span.recording:
             self._finish_undecided_root(span)
             return
