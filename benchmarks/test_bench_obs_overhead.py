@@ -1,14 +1,19 @@
 """O1 — what tracing costs on the warm serve path, and what sampling saves.
 
-Beyond the paper: each pass runs the same warm workload three times, each
-against a fresh :class:`~repro.service.server.ExplanationService` primed so
-that every timed request hits the explanation cache (the fast path, where
-fixed per-request overhead is proportionally largest):
+Beyond the paper: each pass builds three fresh
+:class:`~repro.service.server.ExplanationService` instances, one per mode,
+and primes each so that every timed request hits the explanation cache
+(the fast path, where fixed per-request overhead is proportionally
+largest):
 
 * ``off`` — tracing disabled (the default no-op tracer);
 * ``traced`` — every request fully traced;
 * ``sampled`` — 1 % head sampling, so almost every trace is dropped at the
   root and its children cost next to nothing.
+
+The timed requests are interleaved, one per mode in turn, so a change in
+host speed during a pass moves all three series alike and the ratios
+measure the tracer rather than the host.
 
 One warm-up pass, then three measured passes.  The bounds are five times
 the medians of a reference run (reduced harness) for the latencies and the
@@ -25,7 +30,7 @@ from benchmarks.conftest import measured_runs, median_of
 from repro.bench.reporting import format_table
 from repro.obs.sampling import Sampler
 from repro.obs.store import TraceStore
-from repro.obs.tracing import traced
+from repro.obs.tracing import Tracer, get_tracer, set_tracer
 from repro.service import ExplanationService, ServiceConfig
 
 MODES = ("off", "traced", "sampled")
@@ -42,37 +47,43 @@ RATIO_BOUNDS = {"traced": 3.25, "sampled": 3.09}
 PASS_SECONDS_BOUND = 0.987
 
 
-def _warm_seconds(harness, sqls: list[str]) -> list[float]:
-    """Prime a fresh service cold, then time the warm workload."""
-    service = ExplanationService(
+def _service(harness) -> ExplanationService:
+    return ExplanationService(
         harness.system,
         harness.router,
         harness.knowledge_base,
         harness.llm,
         config=ServiceConfig(top_k=harness.top_k),
     )
-    try:
-        for sql in sqls:
-            assert service.explain(sql).ok
-        seconds = []
-        for i in range(WARM_REQUESTS):
-            start = time.perf_counter()
-            result = service.explain(sqls[i % len(sqls)])
-            seconds.append(time.perf_counter() - start)
-            assert result.ok and result.cache_hit
-        return seconds
-    finally:
-        service.shutdown()
 
 
 def _one_pass(harness, sqls: list[str]) -> tuple[dict[str, list[float]], Sampler, float]:
     start = time.perf_counter()
-    series = {"off": _warm_seconds(harness, sqls)}
-    with traced(store=TraceStore(max_recent=WARM_REQUESTS + 16)):
-        series["traced"] = _warm_seconds(harness, sqls)
+    previous = get_tracer()
     sampler = Sampler(head_probability=HEAD_PROBABILITY, slow_threshold_seconds=None)
-    with traced(store=TraceStore(), sampler=sampler):
-        series["sampled"] = _warm_seconds(harness, sqls)
+    tracers = {
+        "off": previous,
+        "traced": Tracer(enabled=True, store=TraceStore(max_recent=WARM_REQUESTS + 16)),
+        "sampled": Tracer(enabled=True, store=TraceStore(), sampler=sampler),
+    }
+    services = {mode: _service(harness) for mode in MODES}
+    series: dict[str, list[float]] = {mode: [] for mode in MODES}
+    try:
+        for mode in MODES:  # prime each service cold, under its own tracer
+            set_tracer(tracers[mode])
+            for sql in sqls:
+                assert services[mode].explain(sql).ok
+        for i in range(WARM_REQUESTS):
+            for mode in MODES:
+                set_tracer(tracers[mode])
+                begin = time.perf_counter()
+                result = services[mode].explain(sqls[i % len(sqls)])
+                series[mode].append(time.perf_counter() - begin)
+                assert result.ok and result.cache_hit
+    finally:
+        set_tracer(previous)
+        for service in services.values():
+            service.shutdown()
     return series, sampler, time.perf_counter() - start
 
 

@@ -21,7 +21,8 @@ Grammar (informal):
 
 The parser produces :mod:`repro.htap.sql.ast` nodes.  It raises
 :class:`ParserError` with the offending token position on malformed input,
-nesting deeper than :data:`MAX_NESTING_DEPTH` included.
+nesting deeper than :data:`MAX_NESTING_DEPTH` and more than
+:data:`MAX_CONNECTIVES` ``AND`` / ``OR`` included.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from repro.htap.sql.tokens import Token, TokenType
 #: Levels of parentheses, call arguments and NOTs one expression may nest.
 #: A level costs up to six frames, so a parse stays far from RecursionError.
 MAX_NESTING_DEPTH = 64
+
+#: ``AND`` / ``OR`` operators one statement may hold: chains are left-deep, so
+#: the AST walkers recurse once per operator.  Generated queries hold at most 5.
+MAX_CONNECTIVES = 256
 
 
 class ParserError(ValueError):
@@ -49,6 +54,7 @@ class _Parser:
         self.tokens = tokenize(sql)
         self.index = 0
         self.depth = -1  # a top-level expression is at depth 0
+        self.connectives = 0
 
     # ---------------------------------------------------------------- helpers
     @property
@@ -189,16 +195,21 @@ class _Parser:
     def _parse_or(self) -> ast.Expression:
         left = self._parse_and()
         while self.accept_keyword("OR"):
-            right = self._parse_and()
-            left = ast.Or(left, right)
+            self._count_connective()
+            left = ast.Or(left, self._parse_and())
         return left
 
     def _parse_and(self) -> ast.Expression:
         left = self._parse_not()
         while self.accept_keyword("AND"):
-            right = self._parse_not()
-            left = ast.And(left, right)
+            self._count_connective()
+            left = ast.And(left, self._parse_not())
         return left
+
+    def _count_connective(self) -> None:
+        self.connectives += 1
+        if self.connectives > MAX_CONNECTIVES:
+            raise ParserError(f"more than {MAX_CONNECTIVES} AND / OR", self.tokens[self.index - 1])
 
     def _parse_not(self) -> ast.Expression:
         # Every nesting level, a '(' or a call's '(' or a NOT, passes here.

@@ -13,9 +13,9 @@ production compromise:
   thrown away but that are exactly the ones worth keeping: traces slower
   than a latency threshold, rejected requests, and error-tagged requests.
   A head-dropped trace stays *undecided* until its root span finishes —
-  the tracer suppresses its child spans (the per-trace "recording" bit,
-  so an undecided trace costs near-zero beyond the root span) and hands
-  the finished root to :meth:`tail_keep_reason`; a kept trace is retained
+  the root carries no trace, so no child span is created (an undecided
+  trace costs near-zero beyond the root span), and the tracer hands the
+  finished root to :meth:`tail_keep_reason`; a kept trace is retained
   as a partial (root-only) trace tagged ``sampled=tail_<reason>``.
 
 The sampler also keeps its own kept/dropped accounting, surfaced by

@@ -30,11 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(slots=True)
 class Trace:
-    """One finished request: the root span plus every descendant."""
+    """One request: the root span plus every descendant that ended before it."""
 
     trace_id: str
     root: "Span"
     spans: list["Span"] = field(default_factory=list)
+    closed: bool = False
 
     @property
     def duration_seconds(self) -> float:

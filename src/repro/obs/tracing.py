@@ -22,8 +22,13 @@ The design goals, in priority order:
 On every span finish the tracer also feeds a per-stage latency histogram
 (``stage.<name>``) in its own :class:`MetricsRegistry`, which is what the
 Prometheus exposition (:mod:`repro.obs.promtext`) and
-``repro-trace breakdown`` read.  Each trace keeps at most
-:data:`MAX_SPANS_PER_TRACE` child spans; its root always lands.
+``repro-trace breakdown`` read.
+
+The root span carries its trace: a recorded root builds its :class:`Trace`
+when it starts, and every child reaches it through :attr:`Span.trace` and
+lands in it when it ends, up to :data:`MAX_SPANS_PER_TRACE` children.  The
+root lands last, always, and closes the trace; a child ending later is
+timed but not kept.  ``tracer.traces`` is the store's count of traces.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class Span:
         "start_seconds",
         "end_seconds",
         "attributes",
-        "recording",
+        "trace",
         "_tracer",
         "_token",
     )
@@ -84,7 +89,7 @@ class Span:
         parent_id: str | None,
         start_seconds: float,
         attributes: dict[str, Any],
-        recording: bool = True,
+        trace: Trace | None = None,
     ):
         self._tracer = tracer
         self.name = name
@@ -94,14 +99,19 @@ class Span:
         self.start_seconds = start_seconds
         self.end_seconds: float | None = None
         self.attributes = attributes
-        #: Per-trace sampling bit: a head-dropped root keeps timing itself
-        #: (the stage histogram and tail-keep rules need the duration) but
-        #: spawns no child spans, so an unsampled trace costs near-zero
-        #: beyond its root.
-        self.recording = recording
+        #: The trace this span lands in until its root closes it; ``None``
+        #: on a head-dropped root, which keeps timing itself (the stage
+        #: histogram and tail-keep rules need the duration) but spawns no
+        #: child spans.
+        self.trace = trace
         self._token = None
 
     # ----------------------------------------------------------- properties
+    @property
+    def recording(self) -> bool:
+        """Whether the span's trace records (its children are kept)."""
+        return self.trace is not None
+
     @property
     def duration_seconds(self) -> float:
         """Wall-clock duration; 0.0 while the span is still open."""
@@ -158,6 +168,7 @@ class _NullSpan:
 
     enabled = False
     recording = False
+    trace = None
     name = ""
     trace_id = ""
     span_id = ""
@@ -194,6 +205,11 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+#: What a landed span points at once its root has closed the trace: nothing
+#: more lands, and a stored trace holds its spans without a reference cycle,
+#: so it is freed by reference counting when the store lets it go.
+_CLOSED_TRACE = Trace("", NULL_SPAN, closed=True)
+
 
 class _Attached:
     """Context manager installing a span as the current one (thread hop)."""
@@ -228,13 +244,15 @@ _NULL_ATTACHED = _NullAttached()
 
 
 class Tracer:
-    """Creates spans, assembles finished traces, feeds stage histograms.
+    """Creates spans, lands finished traces, feeds stage histograms.
 
     A disabled tracer (the process-global default) hands out
-    :data:`NULL_SPAN` for everything.  An enabled tracer keeps the spans
-    of each live trace in a bounded per-trace buffer; when the root span
-    finishes, the whole trace goes to the :class:`TraceStore` and, if
-    configured, the JSON-lines writer.
+    :data:`NULL_SPAN` for everything.  An enabled tracer gives each
+    recorded root span its :class:`Trace`, which the root's children fill
+    as they end; when the root finishes, the trace goes to the
+    :class:`TraceStore` and, if configured, the JSON-lines writer.  With a
+    sampler, a head-dropped root carries no trace, and its finish either
+    keeps it alone by a tail rule or drops it.
     """
 
     def __init__(
@@ -255,8 +273,8 @@ class Tracer:
         #: ``None`` means "record every trace" (the pre-sampling behaviour).
         self.sampler = sampler
         self._clock = clock
+        #: Guards every trace's ``spans`` and ``closed``.
         self._lock = threading.Lock()
-        self._live: dict[str, list[Span]] = {}
         #: ``stage.<name>`` histogram per span name, resolved on first finish.
         self._stages = MetricFamily(self.metrics.histogram, "stage")
         self._counters = MetricFamily(self.metrics.counter, "tracer")
@@ -276,46 +294,27 @@ class Tracer:
         """
         if not self._enabled:
             return NULL_SPAN
-        if root:
-            parent_span: Span | None = None
-        else:
+        if not root:
             parent_span = parent if parent is not None else _CURRENT.get()
-            if parent_span is not None and not parent_span.enabled:
-                parent_span = None
-            if parent_span is None:
+            # No parent, the null span, or a head-dropped (undecided) root:
+            # no trace to land in.  An undecided trace dies at root-finish
+            # or is tail-kept root-only, so its children would be waste.
+            trace = parent_span.trace if parent_span is not None else None
+            if trace is None:
                 return NULL_SPAN
-            # Children of a head-dropped (undecided) trace are suppressed:
-            # the trace either dies at root-finish or is tail-kept as a
-            # partial (root-only) trace, so recording them would be waste.
-            if not parent_span.recording:
-                return NULL_SPAN
+            return Span(
+                self, name, parent_span.trace_id, f"s-{next(_SPAN_IDS):08d}",
+                parent_span.span_id, self._clock(), attributes, trace,
+            )
         now = self._clock()
-        recording = True
-        if parent_span is None:
-            trace_id = f"t-{next(_TRACE_IDS):08d}"
-            parent_id = None
-            if self.sampler is not None:
-                # Head decision, once per trace, on the request id when the
-                # caller supplied one (deterministic across processes) or
-                # the trace id otherwise.
-                key = attributes.get("request_id")
-                recording = self.sampler.sample_head(str(key) if key is not None else trace_id)
-            if recording:
-                with self._lock:
-                    self._live[trace_id] = []
-        else:
-            trace_id = parent_span.trace_id
-            parent_id = parent_span.span_id
-        return Span(
-            self,
-            name,
-            trace_id,
-            f"s-{next(_SPAN_IDS):08d}",
-            parent_id,
-            now,
-            attributes,
-            recording,
-        )
+        trace_id = f"t-{next(_TRACE_IDS):08d}"
+        span = Span(self, name, trace_id, f"s-{next(_SPAN_IDS):08d}", None, now, attributes)
+        # Head decision, once per trace, on the request id when the caller
+        # supplied one (deterministic across processes) or the trace id.
+        key = attributes.get("request_id")
+        if self.sampler is None or self.sampler.sample_head(str(key) if key is not None else trace_id):
+            span.trace = Trace(trace_id, span)
+        return span
 
     def record_span(
         self,
@@ -329,16 +328,12 @@ class Tracer:
         """Record an already-timed span (used by the micro-batch flush,
         where the work ran on the scheduler thread against a parent that
         was captured on the submitting thread)."""
-        if not self._enabled or parent is None or not parent.enabled or not parent.recording:
+        trace = parent.trace if parent is not None else None
+        if not self._enabled or trace is None:
             return NULL_SPAN
         span = Span(
-            self,
-            name,
-            parent.trace_id,
-            f"s-{next(_SPAN_IDS):08d}",
-            parent.span_id,
-            start_seconds,
-            dict(attributes),
+            self, name, parent.trace_id, f"s-{next(_SPAN_IDS):08d}",
+            parent.span_id, start_seconds, dict(attributes), trace,
         )
         self._finish(span, end_seconds=end_seconds)
         return span
@@ -365,51 +360,40 @@ class Tracer:
             return
         span.end_seconds = end = self._clock() if end_seconds is None else end_seconds
         self._stages[span.name].record(end - span.start_seconds)
-        if span.parent_id is None and not span.recording:
-            self._finish_undecided_root(span)
+        trace = span.trace
+        if span.parent_id is not None:
+            with self._lock:
+                if trace.closed:
+                    return  # ended after its root: timed, not kept
+                if len(trace.spans) < MAX_SPANS_PER_TRACE:
+                    trace.spans.append(span)
+                    return
+            self._counters["spans_dropped"].increment()
             return
-        completed: list[Span] | None = None
-        with self._lock:
-            buffer = self._live.get(span.trace_id)
-            if buffer is not None:
-                if span.parent_id is None:
-                    # The root finishes last and always lands, whatever
-                    # the cap dropped: the trace hangs off it.
-                    buffer.append(span)
-                    completed = self._live.pop(span.trace_id)
-                elif len(buffer) < MAX_SPANS_PER_TRACE:
-                    buffer.append(span)
-                else:
-                    self._counters["spans_dropped"].increment()
-        if completed is not None:
-            if self.sampler is not None:
-                span.attributes.setdefault("sampled", "head")
-                self.sampler.record_kept("head")
-            trace = Trace(trace_id=span.trace_id, root=span, spans=completed)
-            self._counters["traces"].increment()
-            self.store.add(trace)
-            if self.writer is not None:
-                self.writer.write(trace)
-
-    def _finish_undecided_root(self, span: Span) -> None:
-        """Tail decision for a head-dropped trace, at root-finish.
-
-        The undecided trace was buffered as just its root span; the tail
-        rules may still retain it (slow / rejected / error) as a partial
-        trace, otherwise the whole trace vanishes and only the sampler's
-        ``dropped`` counter remembers it.
-        """
         sampler = self.sampler
-        reason = sampler.tail_keep_reason(span) if sampler is not None else None
-        if reason is None:
+        if trace is not None:
+            # The root finishes last and always lands, whatever the cap
+            # dropped: the trace hangs off it.
+            with self._lock:
+                trace.spans.append(span)
+                trace.closed = True
+            for landed in trace.spans:
+                landed.trace = _CLOSED_TRACE
             if sampler is not None:
+                span.attributes.setdefault("sampled", "head")
+                sampler.record_kept("head")
+        else:
+            # Head-dropped: a tail rule (slow / rejected / error) keeps the
+            # root alone as a partial trace, or only the sampler's
+            # ``dropped`` counter remembers it.
+            reason = sampler.tail_keep_reason(span)
+            if reason is None:
                 sampler.record_dropped()
-            return
-        span.attributes.setdefault("sampled", f"tail_{reason}")
-        span.attributes.setdefault("sampled_partial", True)
-        trace = Trace(trace_id=span.trace_id, root=span, spans=[span])
-        self._counters["traces"].increment()
-        sampler.record_kept(reason)
+                return
+            span.attributes.setdefault("sampled", f"tail_{reason}")
+            span.attributes.setdefault("sampled_partial", True)
+            sampler.record_kept(reason)
+            trace = Trace(span.trace_id, span, [span])
         self.store.add(trace)
         if self.writer is not None:
             self.writer.write(trace)
@@ -420,15 +404,17 @@ class Tracer:
 
         Everything a scraper needs from the tracing side in one dict:
         the ``stage.*`` histograms, the ``tracer.*`` counters (always
-        present, even at zero, so dashboards can rely on them), the
-        :class:`TraceStore` retention stats as ``store.*`` (sizes are
-        floats so they render as gauges, not counters), and the sampler's
-        kept/dropped accounting under ``sampler.*``.
+        present, even at zero, so dashboards can rely on them;
+        ``tracer.traces`` is the store's count of traces added, the same
+        fact as ``store.traces_seen``), the :class:`TraceStore` retention
+        stats as ``store.*`` (sizes are floats so they render as gauges,
+        not counters), and the sampler's kept/dropped accounting under
+        ``sampler.*``.
         """
         payload = self.metrics.snapshot()
-        payload.setdefault("tracer.traces", 0)
-        payload.setdefault("tracer.spans_dropped", 0)
         stats = self.store.stats()
+        payload["tracer.traces"] = stats["added"]
+        payload.setdefault("tracer.spans_dropped", 0)
         payload["store"] = {
             "traces_seen": stats["added"],
             "traces_retained": float(stats["retained"]),

@@ -1,5 +1,6 @@
 """Tests for the SQL lexer and parser."""
 
+import hashlib
 import sys
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.htap.sql import ast, parser
 from repro.htap.sql.lexer import LexerError, tokenize
-from repro.htap.sql.parser import MAX_NESTING_DEPTH, ParserError, parse_query
+from repro.htap.sql.parser import MAX_CONNECTIVES, MAX_NESTING_DEPTH, ParserError, parse_query
 from repro.htap.sql.tokens import TokenType
 from repro.workloads.generator import WorkloadGenerator
 
@@ -218,6 +219,36 @@ def test_generated_workload_nests_far_below_the_limit(monkeypatch):
     for query in WorkloadGenerator(seed=3).generate(600):
         parse_query(query.sql)
 
+
+
+# ------------------------------------------------------------- AND / OR chains
+@pytest.mark.parametrize("connective", ["AND", "OR"])
+def test_long_flat_chain_is_a_parser_error_at_the_crossing_token(connective):
+    terms = [f"c_custkey > {i}" for i in range(2000)]
+    sql = f"SELECT c_name FROM customer WHERE {f' {connective} '.join(terms)};"
+    with pytest.raises(ParserError, match=f"more than {MAX_CONNECTIVES} AND / OR") as raised:
+        parse_query(sql)
+    assert raised.value.token.value == connective
+    crossing = terms[MAX_CONNECTIVES]  # the term before the one connective too many
+    assert raised.value.token.position == sql.index(f"{crossing} {connective}") + len(crossing) + 1
+
+
+def test_connectives_count_over_the_whole_statement():
+    # Chains split by parentheses share one bound.
+    half = " AND ".join(["c_custkey > 1"] * (MAX_CONNECTIVES // 2 + 1))
+    parse_query(f"SELECT c_name FROM customer WHERE ({half}) OR c_custkey = 0")
+    with pytest.raises(ParserError, match="AND / OR"):
+        parse_query(f"SELECT c_name FROM customer WHERE ({half}) AND ({half})")
+
+
+def test_generated_sql_parses_to_the_same_trees():
+    # repr() of every tree for 2,000 generated queries, hashed; the value
+    # was read off the parser before the connective bound existed.
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3, 5, 11):
+        for query in WorkloadGenerator(seed=seed).generate(400):
+            digest.update(repr(parse_query(query.sql)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == "e9c12f2b6bd5e09c7cd13c9fe8dbbcea0a6332a9ca91b4496e15d1cdaf7bda53"
 
 _FUZZ_PIECES = st.sampled_from(
     [

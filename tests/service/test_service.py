@@ -7,6 +7,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.htap.sql.parser import MAX_CONNECTIVES
 from repro.obs.slo import default_service_objectives
 from repro.service import (
     ExplanationService,
@@ -346,3 +347,19 @@ def test_error_results_never_raise(service):
     assert result.error.code is ServiceErrorCode.INVALID_SQL
     assert not result.ok
     assert result.text is None
+
+
+def test_long_and_or_chains_are_typed_rejections(service):
+    term = "c_custkey > 1"
+    long_chains = [" AND ".join([term] * 2000), " OR ".join([term] * 2000)]
+    for where in long_chains:
+        result = service.explain(f"SELECT c_name FROM customer WHERE {where}")
+        assert result.status is RequestStatus.FAILED
+        assert result.error.code is ServiceErrorCode.INVALID_SQL
+    # A chain at the bound, nested as deep as allowed, runs end to end.
+    at_bound = "NOT " * 63 + "(" + " AND ".join([term] * (MAX_CONNECTIVES + 1)) + ")"
+    assert service.explain(f"SELECT c_name FROM customer WHERE {at_bound}").ok
+    snapshot = service.metrics_snapshot()
+    assert snapshot["requests.rejected.invalid_sql"] == len(long_chains)
+    assert "requests.failed" not in snapshot
+    assert snapshot["requests.submitted"] == snapshot["requests.ok"] + len(long_chains)
