@@ -251,7 +251,8 @@ def _smoke(base_url: str) -> int:
     import urllib.request
 
     failures = []
-    for path, must_contain in (("/metrics", "repro_"), ("/healthz", '"ok": true')):
+    totals = ("repro_requests_submitted ", "repro_requests_ok ")  # derived by metrics_snapshot
+    for path, must_contain in (("/metrics", totals), ("/healthz", ('"ok": true',))):
         try:
             with urllib.request.urlopen(base_url + path, timeout=10) as response:
                 status = response.status
@@ -263,8 +264,8 @@ def _smoke(base_url: str) -> int:
             failures.append(f"{path}: HTTP {status}")
         elif not body.strip():
             failures.append(f"{path}: empty response body")
-        elif must_contain not in body:
-            failures.append(f"{path}: response lacks {must_contain!r}")
+        elif missing := [text for text in must_contain if text not in body]:
+            failures.append(f"{path}: response lacks {missing!r}")
         else:
             print(f"smoke OK: GET {path} -> 200, {len(body)} bytes")
     if failures:

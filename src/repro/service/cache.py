@@ -88,6 +88,13 @@ class LRUCache:
             self._stats.hits += 1
             return value
 
+    def touch(self, key: Hashable) -> Any:
+        """:meth:`get` that counts neither a hit nor a miss: a second look."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            return self._entries.get(key)
+
     def put(self, key: Hashable, value: Any, *, epoch: int | None = None) -> bool:
         """Insert ``key``; returns whether the value was stored.
 

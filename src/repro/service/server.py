@@ -42,6 +42,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures._base import FINISHED, LOGGER
+from typing import Callable
 
 from repro.explainer.pipeline import Explanation, RagExplainer, execution_result_text
 from repro.htap.catalog import Index
@@ -59,9 +60,10 @@ from repro.service.api import (
     ExplainResult,
     RequestStatus,
     ServiceErrorCode,
+    new_request_id,
 )
 from repro.service.batching import BatcherClosedError, MicroBatcher
-from repro.service.cache import CacheLevels, ServiceCache
+from repro.service.cache import ServiceCache
 from repro.service.config import ServiceConfig
 from repro.service.fingerprint import plan_key, request_keys
 from repro.service.tenancy import TenantRegistry
@@ -137,9 +139,7 @@ class ExplanationService:
             top_k=config.top_k, prompt_builder=prompt_builder,
         )
         self.metrics = MetricsRegistry()
-        # Resolved once: every L1 hit touches these three and its tenant's.
-        self._submitted = self.metrics.counter("requests.submitted")
-        self._ok = self.metrics.counter("requests.ok")
+        # Resolved once: every L1 hit touches this and its tenant's counter.
         self._warm_seconds = self.metrics.histogram("latency.warm_seconds")
         self._tenant_requests = MetricFamily(self.metrics.counter, "requests.tenant")
         self._rejected = MetricFamily(self.metrics.counter, "requests.rejected")
@@ -273,27 +273,23 @@ class ExplanationService:
         slot.  When the in-flight budget is exhausted the request is shed
         with a ``QUEUE_FULL`` rejection; a tenant over its declared quota
         is shed with ``QUOTA_EXCEEDED``.  A hit or a refusal returns a
-        future born finished, and with tracing off builds no span.
+        future born finished, builds no :class:`ExplainRequest`, and with
+        tracing off builds no span.  Its tenant's counter and, if it is
+        answered, a latency histogram count it: :meth:`metrics_snapshot`
+        sums those into ``requests.submitted`` and ``requests.ok``.
         """
-        request = ExplainRequest(
-            sql=sql,
-            user_notes=user_notes,
-            deadline_seconds=(
-                self.config.default_deadline_seconds if deadline_seconds is None else deadline_seconds
-            ),
-            tenant=tenant,
-        )
-        self._submitted.increment()
+        submitted_at = time.perf_counter()
+        request_id = new_request_id()
         self._tenant_requests[tenant].increment()
         tracer = get_tracer()
         root = NULL_SPAN
         if traced := tracer.enabled:
-            root = tracer.span(ROOT_SPAN_NAME, root=True, request_id=request.request_id, tenant=tenant)
+            root = tracer.span(ROOT_SPAN_NAME, root=True, request_id=request_id, tenant=tenant)
         if self._closed:
-            return self._refuse(request, root, ServiceErrorCode.SERVICE_CLOSED, "service is shut down")
+            return self._refuse(request_id, root, ServiceErrorCode.SERVICE_CLOSED, "service is shut down")
         if not self.tenants.try_admit(tenant):
             return self._refuse(
-                request,
+                request_id,
                 root,
                 ServiceErrorCode.QUOTA_EXCEEDED,
                 f"tenant {tenant!r} is over its request quota",
@@ -301,24 +297,27 @@ class ExplanationService:
         # At most one normalization per request, none for an exact repeat:
         # a miss derives its plan key from the same normalized text.
         normalized, cache_key = request_keys(sql, user_notes, self.explainer.top_k, tenant)
-        levels = self.cache.level(tenant)
+        explanations = self.cache.level(tenant).explanations
         if traced:
-            cached = self._l1_lookup(tracer, levels, cache_key, root)
+            cached = self._l1_lookup(tracer, explanations.get, cache_key, root)
         else:
-            cached = levels.explanations.get(cache_key)
+            cached = explanations.get(cache_key)
         if cached is not None:
-            result = self._l1_hit(request, cached, root)
+            result = self._l1_hit(request_id, submitted_at, cached, root)
             root.end()
             return _FinishedFuture(result)
         with self._admission_lock:
             if self._in_flight >= self.config.max_in_flight:
                 return self._refuse(
-                    request,
+                    request_id,
                     root,
                     ServiceErrorCode.QUEUE_FULL,
                     f"in-flight limit of {self.config.max_in_flight} reached",
                 )
             self._in_flight += 1
+        if deadline_seconds is None:
+            deadline_seconds = self.config.default_deadline_seconds
+        request = ExplainRequest(sql, user_notes, deadline_seconds, tenant, request_id, submitted_at)
         try:
             return self._executor.submit(self._process_guarded, request, normalized, cache_key, root)
         except RuntimeError:
@@ -327,7 +326,7 @@ class ExplanationService:
             # post-close request instead of letting the exception escape.
             with self._admission_lock:
                 self._in_flight -= 1
-            return self._refuse(request, root, ServiceErrorCode.SERVICE_CLOSED, "service is shut down")
+            return self._refuse(request_id, root, ServiceErrorCode.SERVICE_CLOSED, "service is shut down")
 
     def _tag_rejection(self, root: "Span", code: ServiceErrorCode) -> None:
         """Count a refused request once, as ``requests.rejected.<code>``,
@@ -337,34 +336,30 @@ class ExplanationService:
         root.set_attributes(status="rejected", rejected_reason=code.value)
 
     def _refuse(
-        self, request: ExplainRequest, root: "Span", code: ServiceErrorCode, message: str
+        self, request_id: str, root: "Span", code: ServiceErrorCode, message: str
     ) -> "Future[ExplainResult]":
         """Reject a request at admission: tag and close its root span."""
         self._tag_rejection(root, code)
         root.end()
-        return _FinishedFuture(ExplainResult.rejection(request.request_id, code, message))
+        return _FinishedFuture(ExplainResult.rejection(request_id, code, message))
 
-    def _l1_lookup(self, tracer: Tracer, levels: CacheLevels, key: str, root: "Span") -> Explanation | None:
+    def _l1_lookup(self, tracer: Tracer, get: Callable, key: str, root: "Span") -> Explanation | None:
         lookup = tracer.span("cache.l1_lookup", parent=root)
-        cached = levels.explanations.get(key)
+        cached = get(key)
         lookup.set_attribute("hit", cached is not None)
         lookup.end()
         return cached
 
     def _l1_hit(
-        self,
-        request: ExplainRequest,
-        cached: Explanation,
-        root: "Span",
+        self, request_id: str, submitted_at: float, cached: Explanation, root: "Span",
         queue_seconds: float = 0.0,
     ) -> ExplainResult:
         """The result for a request answered from the L1 explanation cache."""
-        self._ok.increment()
-        total = time.perf_counter() - request.submitted_at
+        total = time.perf_counter() - submitted_at
         self._warm_seconds.record(total)
         root.set_attributes(status="ok", cache="l1_hit")
         return ExplainResult(
-            request_id=request.request_id,
+            request_id=request_id,
             status=RequestStatus.OK,
             explanation=cached,
             cache_hit=True,
@@ -443,13 +438,13 @@ class ExplanationService:
                 request, root, queue_seconds, f"after {queue_seconds:.3f}s in queue"
             )
         # A twin request may have populated the explanation cache while this
-        # one waited for a worker.
+        # one waited for a worker; admission counted the lookup, so only touch.
         tenant = request.tenant
         levels = self.cache.level(tenant)
         tracer = get_tracer()
-        cached = self._l1_lookup(tracer, levels, cache_key, root)
+        cached = self._l1_lookup(tracer, levels.explanations.touch, cache_key, root)
         if cached is not None:
-            return self._l1_hit(request, cached, root, queue_seconds)
+            return self._l1_hit(request.request_id, request.submitted_at, cached, root, queue_seconds)
 
         plan_cache_key = plan_key(normalized, tenant=tenant)
         # Epochs read *before* computing guard the puts below: if DDL or a KB
@@ -510,7 +505,6 @@ class ExplanationService:
             user_notes=request.user_notes,
         )
         levels.explanations.put(cache_key, explanation, epoch=explanation_epoch)
-        self._ok.increment()
         total = time.perf_counter() - request.submitted_at
         self.metrics.histogram("latency.cold_seconds").record(total)
         root.set_attributes(status="ok")
@@ -525,8 +519,19 @@ class ExplanationService:
 
     # --------------------------------------------------------------- telemetry
     def metrics_snapshot(self) -> dict[str, object]:
-        """One dict with counters, latency summaries, cache and batch stats."""
-        payload = self.metrics.snapshot()
+        """One dict with counters, latency summaries, cache and batch stats.
+
+        Two totals lead it, derived from the snapshot's own values rather
+        than counted twice: ``requests.submitted`` sums the
+        ``requests.tenant.*`` counters, and ``requests.ok`` adds the warm
+        and cold latency counts."""
+        counted = self.metrics.snapshot()
+        cold = counted.get("latency.cold_seconds", {"count": 0})
+        payload: dict[str, object] = {
+            "requests.submitted": sum(v for k, v in counted.items() if k.startswith("requests.tenant.")),
+            "requests.ok": counted["latency.warm_seconds"]["count"] + cold["count"],
+            **counted,
+        }
         payload["cache"] = self.cache.snapshot()
         payload["batching"] = self.batcher.stats()
         with self._admission_lock:

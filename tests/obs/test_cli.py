@@ -142,3 +142,21 @@ def test_cli_demo_serves_traced_requests(capsys):
     assert "trace t-" in out
     assert "└─ " in out
     assert "per-stage latency breakdown (2 traced requests)" in out
+
+
+def test_serve_smoke_requires_the_request_totals(capsys):
+    from repro.obs.cli import _smoke
+    from repro.obs.health import HealthCheck, HealthReport
+    from repro.obs.server import AdminServer
+
+    snapshot = {"requests.tenant.default": 2}
+    admin = AdminServer(
+        port=0,
+        snapshot_providers=(lambda: snapshot,),
+        health=lambda: HealthReport(checks=(HealthCheck("alive", True, "up"),)),
+    )
+    with admin:
+        assert _smoke(admin.url) == 1
+        assert "repro_requests_submitted " in capsys.readouterr().err
+        snapshot.update({"requests.submitted": 2, "requests.ok": 2})
+        assert _smoke(admin.url) == 0

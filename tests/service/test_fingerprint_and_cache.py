@@ -163,6 +163,17 @@ def test_lru_eviction_order():
     assert cache.stats.evictions == 1
 
 
+def test_touch_refreshes_recency_without_counting():
+    cache = LRUCache(capacity=2)
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert cache.touch("a") == 1
+    assert cache.touch("missing") is None
+    cache.put("c", 3)  # evicts "b": the touch made "a" the most recent
+    assert "a" in cache and "b" not in cache
+    assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+
+
 def test_hit_miss_accounting_and_clear():
     cache = LRUCache(capacity=4)
     cache.put("k", 42)
