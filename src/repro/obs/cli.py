@@ -25,7 +25,7 @@ Four subcommands:
     admin HTTP server, pre-serve a few requests, and keep the endpoints
     (``/metrics``, ``/healthz``, ``/readyz``, ``/traces``, ``/slo``) up
     until interrupted.  ``--head-probability`` / ``--slow-threshold-ms``
-    configure trace sampling; ``--smoke`` self-scrapes ``/metrics`` and
+    configure trace sampling; ``--smoke`` self-scrapes ``/metrics``, ``/slo`` and
     ``/healthz`` once and exits nonzero on a bad or empty response —
     the CI liveness check.
 
@@ -247,12 +247,18 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _smoke(base_url: str) -> int:
-    """One self-scrape of /metrics and /healthz; nonzero on any problem."""
+    """One self-scrape of /metrics, /healthz and /slo; nonzero on any problem:
+    a bad or empty response, a summary whose quantiles are out of order, or
+    a latency objective value that is not finite and >= 0."""
+    import json
+    import math
+    import re
     import urllib.request
 
     failures = []
+    bodies = {"/metrics": "", "/slo": '{"objectives": []}'}
     totals = ("repro_requests_submitted ", "repro_requests_ok ")  # derived by metrics_snapshot
-    for path, must_contain in (("/metrics", totals), ("/healthz", ('"ok": true',))):
+    for path, must_contain in (("/metrics", totals), ("/healthz", ('"ok": true',)), ("/slo", ())):
         try:
             with urllib.request.urlopen(base_url + path, timeout=10) as response:
                 status = response.status
@@ -267,7 +273,16 @@ def _smoke(base_url: str) -> int:
         elif missing := [text for text in must_contain if text not in body]:
             failures.append(f"{path}: response lacks {missing!r}")
         else:
+            bodies[path] = body
             print(f"smoke OK: GET {path} -> 200, {len(body)} bytes")
+    summary = r'^(\w+)\{quantile="0.5"\} (\S+)\n\1\{quantile="0.95"\} (\S+)\n\1\{quantile="0.99"\} (\S+)$'
+    for name, *values in re.findall(summary, bodies["/metrics"], re.M):
+        if not float(values[0]) <= float(values[1]) <= float(values[2]):
+            failures.append(f"/metrics: {name} quantiles out of order {values}")
+    for objective in json.loads(bodies["/slo"])["objectives"]:
+        values = [objective["value"], *(window["value"] for window in objective["windows"].values())]
+        if objective["kind"] == "latency" and not all(math.isfinite(v) and v >= 0 for v in values):
+            failures.append(f"/slo: {objective['name']} values {values} not finite and >= 0")
     if failures:
         for failure in failures:
             print(f"smoke FAIL: {failure}", file=sys.stderr)
@@ -356,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--smoke",
         action="store_true",
-        help="self-scrape /metrics and /healthz once, then exit (CI smoke)",
+        help="self-scrape /metrics, /healthz and /slo once, then exit (CI smoke)",
     )
     return parser
 

@@ -4,105 +4,131 @@ Deliberately lightweight: a :class:`MetricsRegistry` is a named bag of
 :class:`Counter` and :class:`LatencyHistogram` objects whose
 :meth:`~MetricsRegistry.snapshot` exports one plain dict — the contract the
 served-path benchmark (``perfbench``), the admin plane's ``/metrics``
-exposition and any external scraper consume.  Quantile math is delegated
-to :mod:`repro.obs.stats` so a p95 reported here uses the same
-nearest-rank convention as every other percentile in the repo.
+exposition and any external scraper consume.
+
+Writes take no lock: each metric keeps one cell per writing thread,
+reached through a :class:`threading.local`, registered under the metric's
+lock on that thread's first write and written only by that thread.  A read
+sums the cells, which outlive their threads, so totals never go back.
+Histograms count into the fixed :data:`BUCKET_BOUNDS`, so their quantiles
+are all-time, add up across threads, time windows and processes, and are
+exact to one bucket (about 19 %): the upper bound of the bucket holding the
+nearest-rank sample (the :mod:`repro.obs.stats` convention), clamped to the
+exact ``[min, max]``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Any, Callable
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import Any, Callable, Sequence
 
-from repro.obs.stats import percentile, summarize
+from repro.obs.stats import SUMMARY_QUANTILES, percentile_index, summarize
 
-#: Samples a histogram retains for its percentiles; older ones are overwritten.
-MAX_SAMPLES = 8192
+#: Histogram bucket upper bounds in seconds, "le" semantics: ``2 ** (k / 4)``,
+#: four per octave, from 2**-20 s (about 1 µs) to 2**8 s (256 s).  Powers of
+#: two are exact bounds, so small integer samples sit on bucket edges.  One
+#: overflow bucket follows the last bound.
+BUCKET_BOUNDS: tuple[float, ...] = tuple(2.0 ** (k / 4) for k in range(-80, 33))
+_NO_COUNTS = (0,) * (len(BUCKET_BOUNDS) + 1)
 
 
-class Counter:
-    """A monotonically increasing, thread-safe counter."""
+def bucket_upper_bound(cumulative: Sequence[int], fraction: float) -> float:
+    """Upper bound of the bucket holding the nearest-rank ``fraction``
+    quantile of non-empty cumulative bucket counts (``inf`` for overflow)."""
+    index = bisect_right(cumulative, percentile_index(cumulative[-1], fraction))
+    return BUCKET_BOUNDS[index] if index < len(BUCKET_BOUNDS) else math.inf
 
-    __slots__ = ("_lock", "_value")
+
+class _Sharded:
+    """One cell per writing thread; subclasses say what a cell is."""
+
+    __slots__ = ("_lock", "_local", "_cells")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = 0
+        self._local = threading.local()
+        self._cells: list[Any] = []
+
+    def _register(self) -> Any:
+        cell = self._local.cell = self._new_cell()
+        with self._lock:
+            self._cells.append(cell)
+        return cell
+
+
+class Counter(_Sharded):
+    """A monotonically increasing counter; :meth:`increment` takes no lock."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _new_cell() -> list[int]:
+        return [0]
 
     def increment(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
+        try:
+            cell = self._local.cell
+        except AttributeError:
+            cell = self._register()
+        cell[0] += amount
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
+        return sum(cell[0] for cell in self._cells)
 
 
-class LatencyHistogram:
-    """Latency samples with percentile export.
-
-    The hot path (:meth:`record`) is O(1): samples land in an unsorted
-    ring buffer of :data:`MAX_SAMPLES` whose bounded size keeps memory
-    flat under sustained traffic (once full, a cursor overwrites the
-    retained set in round-robin order, keeping it spread across the stream
-    without a random source).  Sorting happens on the rare read side.
-    """
-
-    __slots__ = ("_lock", "_ring", "_cursor", "_count", "_total", "_min", "_max")
+class _HistogramCell:
+    __slots__ = ("counts", "sum", "min", "max")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._ring: list[float] = []
-        self._cursor = 0
-        self._count = 0
-        self._total = 0.0
-        self._min = 0.0
-        self._max = 0.0
+        self.counts = list(_NO_COUNTS)
+        self.sum = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+
+class LatencyHistogram(_Sharded):
+    """Bucketed latency samples with exact count, sum, min and max: one
+    fixed bucket array per writing thread, whatever the traffic."""
+
+    __slots__ = ()
+
+    _new_cell = _HistogramCell
 
     def record(self, seconds: float) -> None:
-        with self._lock:
-            if self._count == 0 or seconds < self._min:
-                self._min = seconds
-            self._count += 1
-            self._total += seconds
-            if seconds > self._max:
-                self._max = seconds
-            if len(self._ring) < MAX_SAMPLES:
-                self._ring.append(seconds)
-            else:
-                self._ring[self._cursor] = seconds
-                self._cursor = (self._cursor + 1) % MAX_SAMPLES
+        try:
+            cell = self._local.cell
+        except AttributeError:
+            cell = self._register()
+        # The bucket count is written last and read first, so a reader that
+        # counts a sample also sees it in min, max and sum.
+        if seconds < cell.min:
+            cell.min = seconds
+        if seconds > cell.max:
+            cell.max = seconds
+        cell.sum += seconds
+        cell.counts[bisect_left(BUCKET_BOUNDS, seconds)] += 1
 
-    def percentile(self, fraction: float) -> float:
-        """Latency at the given quantile (0 < fraction <= 1) in seconds."""
-        with self._lock:
-            samples = list(self._ring)
-        return percentile(samples, fraction)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def summary(self) -> dict[str, float]:
-        """Count, sum, mean, all-time min/max, and ring-window percentiles.
-
-        ``min``/``max``/``sum``/``mean`` cover every sample ever recorded
-        (not just the retained ring), so a scraper can derive rates from
-        consecutive ``sum``/``count`` pairs without losing overwritten
-        samples; the percentiles are computed over the ring window.
-        """
-        with self._lock:
-            summary = summarize(self._ring)
-            if self._count:
-                summary.update(
-                    count=self._count,
-                    sum=self._total,
-                    mean=self._total / self._count,
-                    min=self._min,
-                    max=self._max,
-                )
+    def summary(self) -> dict[str, Any]:
+        """All-time count, sum, mean, min, bucket quantiles, max, and
+        ``buckets``: the cumulative count per :data:`BUCKET_BOUNDS` entry and
+        overflow, so two summaries' difference histograms what came between."""
+        cells = list(self._cells)
+        cumulative = tuple(accumulate(map(sum, zip(_NO_COUNTS, *(cell.counts for cell in cells)))))
+        count = cumulative[-1]
+        if not count:
+            return {**summarize(()), "buckets": cumulative}
+        total = sum(cell.sum for cell in cells)
+        low = min(cell.min for cell in cells)
+        high = max(cell.max for cell in cells)
+        summary: dict[str, Any] = {"count": count, "sum": total, "mean": total / count, "min": low}
+        for name, fraction in SUMMARY_QUANTILES:
+            summary[name] = min(max(bucket_upper_bound(cumulative, fraction), low), high)
+        summary["max"] = high
+        summary["buckets"] = cumulative
         return summary
 
 
@@ -114,30 +140,23 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
 
-    def counter(self, name: str) -> Counter:
+    def _get(self, metrics: dict[str, Any], make: Callable[[], Any], name: str) -> Any:
         with self._lock:
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = Counter()
-            return counter
+            metric = metrics.get(name)
+            if metric is None:
+                metric = metrics[name] = make()
+            return metric
+
+    def counter(self, name: str) -> Counter:
+        return self._get(self._counters, Counter, name)
 
     def histogram(self, name: str) -> LatencyHistogram:
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = LatencyHistogram()
-            return histogram
+        return self._get(self._histograms, LatencyHistogram, name)
 
     def snapshot(self) -> dict[str, object]:
-        # Lock discipline, audited under 16-way writer stress (see
-        # tests/service/test_batching_and_metrics.py): the registry lock
-        # only guards the name->object maps and is released before any
-        # per-object read, so a snapshot never blocks writers for longer
-        # than two dict copies.  Each Counter.value and
-        # LatencyHistogram.summary() takes its own lock, and summary()
-        # sorts the ring under it, so a concurrent record can never leave
-        # it reading a half-written ring.  The snapshot is point-in-time
-        # per metric, not atomic across metrics (documented contract).
+        # The registry lock only guards the name->object maps.  Each value
+        # sums its metric's cells while writers keep writing: monotone and
+        # point-in-time per metric, not atomic across metrics.
         with self._lock:
             counters = dict(self._counters)
             histograms = dict(self._histograms)

@@ -18,7 +18,7 @@ production compromise:
   finished root to :meth:`tail_keep_reason`; a kept trace is retained
   as a partial (root-only) trace tagged ``sampled=tail_<reason>``.
 
-The sampler also keeps its own kept/dropped accounting, surfaced by
+The sampler also keeps its own kept/dropped counters, surfaced by
 :meth:`snapshot` (and therefore by ``Tracer.stage_snapshot`` and the
 Prometheus exposition) as ``sampler.*`` counters plus a ``sampled_ratio``
 gauge.
@@ -26,9 +26,10 @@ gauge.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from typing import TYPE_CHECKING
+
+from repro.obs.metrics import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracing import Span
@@ -66,10 +67,8 @@ class Sampler:
             raise ValueError("slow_threshold_seconds must be non-negative")
         self.head_probability = head_probability
         self.slow_threshold_seconds = slow_threshold_seconds
-        self._lock = threading.Lock()
-        self._kept_head = 0
-        self._kept_tail = {reason: 0 for reason in TAIL_REASONS}
-        self._dropped = 0
+        self._kept = {reason: Counter() for reason in ("head", *TAIL_REASONS)}
+        self._dropped = Counter()
 
     # ----------------------------------------------------------------- policy
     def sample_head(self, key: str) -> bool:
@@ -97,25 +96,18 @@ class Sampler:
     # ------------------------------------------------------------- accounting
     def record_kept(self, reason: str) -> None:
         """Count one retained trace (``reason``: ``head`` or a tail reason)."""
-        with self._lock:
-            if reason == "head":
-                self._kept_head += 1
-            else:
-                self._kept_tail[reason] = self._kept_tail.get(reason, 0) + 1
+        self._kept[reason].increment()
 
     def record_dropped(self) -> None:
-        with self._lock:
-            self._dropped += 1
+        self._dropped.increment()
 
     @property
     def kept(self) -> int:
-        with self._lock:
-            return self._kept_head + sum(self._kept_tail.values())
+        return sum(counter.value for counter in self._kept.values())
 
     @property
     def dropped(self) -> int:
-        with self._lock:
-            return self._dropped
+        return self._dropped.value
 
     def snapshot(self) -> dict[str, object]:
         """Counters and gauges in the metrics-snapshot dict convention.
@@ -124,16 +116,17 @@ class Sampler:
         :mod:`repro.obs.promtext`), so ``sampled_ratio`` and
         ``head_probability`` are deliberately floats.
         """
-        with self._lock:
-            kept = self._kept_head + sum(self._kept_tail.values())
-            total = kept + self._dropped
-            payload: dict[str, object] = {
-                "kept": kept,
-                "dropped": self._dropped,
-                "kept_head": self._kept_head,
-                "head_probability": float(self.head_probability),
-                "sampled_ratio": (kept / total) if total else 1.0,
-            }
-            for reason, count in self._kept_tail.items():
-                payload[f"kept_tail_{reason}"] = count
+        kept = {reason: counter.value for reason, counter in self._kept.items()}
+        dropped = self._dropped.value
+        total_kept = sum(kept.values())
+        total = total_kept + dropped
+        payload: dict[str, object] = {
+            "kept": total_kept,
+            "dropped": dropped,
+            "kept_head": kept.pop("head"),
+            "head_probability": float(self.head_probability),
+            "sampled_ratio": (total_kept / total) if total else 1.0,
+        }
+        for reason, count in kept.items():
+            payload[f"kept_tail_{reason}"] = count
         return payload

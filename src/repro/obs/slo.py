@@ -19,11 +19,13 @@ means faster.  Multi-window evaluation is the standard paging pattern: a
 short window catches a sharp regression quickly, a long window catches a
 slow leak, and alerting on both avoids paging on blips.
 
-Counter-shaped SLIs (error rates) are computed from windowed *deltas* of
-the cumulative counters, so a long-running process does not drag history
-into the current window.  Latency quantiles come from the histogram's
-ring window, which is already recent-biased; within a window the worst
-observed quantile is used (pessimistic, the right bias for an SLO).
+Each SLI is computed from cumulative values: an objective's ``value``
+from the latest sample, and each window's from the *delta* between its
+first and last sample, so a long-running process does not drag history
+into the current window.  Error rates come from the counters, latency
+quantiles from the histogram's cumulative ``buckets`` counts (the upper
+bound of the bucket holding the nearest-rank sample, at most the last
+finite bound).
 
 :meth:`~SLOTracker.snapshot` renders the evaluation as float gauges under
 the ``slo`` key, which the Prometheus exposition turns into
@@ -36,7 +38,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Mapping, Sequence, Union
+
+from repro.obs.metrics import BUCKET_BOUNDS, bucket_upper_bound
+from repro.obs.stats import SUMMARY_QUANTILES
 
 #: Snapshots an :class:`SLOTracker` retains; the oldest are dropped first.
 MAX_SAMPLES = 4096
@@ -52,9 +57,29 @@ class LatencyObjective:
     threshold_seconds: float
     quantile: str = "p95"
 
+    kind = "latency"
+
     def __post_init__(self) -> None:
         if self.threshold_seconds <= 0:
             raise ValueError("threshold_seconds must be positive")
+        if self.quantile not in dict(SUMMARY_QUANTILES):
+            raise ValueError(f"quantile must be one of {[name for name, _ in SUMMARY_QUANTILES]}")
+
+    @property
+    def target(self) -> float:
+        return self.threshold_seconds
+
+    def read(self, snapshot: Mapping[str, Any]) -> Sequence[int] | None:
+        """The histogram's cumulative ``buckets`` counts."""
+        summary = snapshot.get(self.metric)
+        return summary.get("buckets") if isinstance(summary, Mapping) else None
+
+    def sli(self, buckets: Sequence[int]) -> float:
+        """The quantile of bucketed samples: its bucket's upper bound, at
+        most the last finite bound; 0.0 without samples."""
+        if buckets[-1] <= 0:
+            return 0.0
+        return min(bucket_upper_bound(buckets, dict(SUMMARY_QUANTILES)[self.quantile]), BUCKET_BOUNDS[-1])
 
 
 @dataclass(frozen=True)
@@ -69,9 +94,18 @@ class ErrorRateObjective:
     #: Maximum tolerated bad fraction (the error budget), e.g. 0.01.
     target: float
 
+    kind = "error_rate"
+
     def __post_init__(self) -> None:
         if not 0.0 < self.target <= 1.0:
             raise ValueError("target must be in (0, 1]")
+
+    def read(self, snapshot: Mapping[str, Any]) -> tuple[float, float]:
+        return _counter_sum(snapshot, self.total), _counter_sum(snapshot, self.bad)
+
+    def sli(self, counts: Sequence[float]) -> float:
+        total, bad = counts
+        return bad / total if total > 0 else 0.0
 
 
 Objective = Union[LatencyObjective, ErrorRateObjective]
@@ -117,13 +151,6 @@ def _counter_sum(snapshot: Mapping[str, Any], keys: tuple[str, ...]) -> float:
     return total
 
 
-def _quantile_value(snapshot: Mapping[str, Any], metric: str, quantile: str) -> float | None:
-    summary = snapshot.get(metric)
-    if isinstance(summary, Mapping) and quantile in summary:
-        return float(summary[quantile])
-    return None
-
-
 def _window_label(window_seconds: float) -> str:
     return f"{int(window_seconds)}s"
 
@@ -150,15 +177,7 @@ class SLOTracker:
     def observe(self, snapshot: Mapping[str, Any]) -> None:
         """Extract and retain this instant's SLI inputs from a snapshot."""
         now = self._clock()
-        sample: dict[str, Any] = {"t": now}
-        for objective in self.objectives:
-            if isinstance(objective, ErrorRateObjective):
-                sample[f"total.{objective.name}"] = _counter_sum(snapshot, objective.total)
-                sample[f"bad.{objective.name}"] = _counter_sum(snapshot, objective.bad)
-            else:
-                sample[f"lat.{objective.name}"] = _quantile_value(
-                    snapshot, objective.metric, objective.quantile
-                )
+        sample = {"t": now, **{objective.name: objective.read(snapshot) for objective in self.objectives}}
         horizon = now - 2 * self.windows[-1]
         with self._lock:
             self._samples.append(sample)
@@ -180,10 +199,7 @@ class SLOTracker:
         objectives: list[dict[str, Any]] = []
         worst_burn = 0.0
         for objective in self.objectives:
-            if isinstance(objective, ErrorRateObjective):
-                entry = self._evaluate_error_rate(objective, samples, now)
-            else:
-                entry = self._evaluate_latency(objective, samples, now)
+            entry = self._evaluate(objective, samples, now)
             for window in entry["windows"].values():
                 worst_burn = max(worst_burn, window["burn_rate"])
             objectives.append(entry)
@@ -194,69 +210,22 @@ class SLOTracker:
             "objectives": objectives,
         }
 
-    def _window_samples(
-        self, samples: list[dict[str, Any]], now: float, window: float
-    ) -> list[dict[str, Any]]:
-        cutoff = now - window
-        return [sample for sample in samples if sample["t"] >= cutoff]
-
-    def _evaluate_error_rate(
-        self, objective: ErrorRateObjective, samples: list[dict[str, Any]], now: float
-    ) -> dict[str, Any]:
-        total_key, bad_key = f"total.{objective.name}", f"bad.{objective.name}"
-        latest = samples[-1] if samples else None
-        cumulative_total = latest[total_key] if latest else 0.0
-        cumulative_bad = latest[bad_key] if latest else 0.0
-        value = (cumulative_bad / cumulative_total) if cumulative_total > 0 else 0.0
+    def _evaluate(self, objective: Objective, samples: list[dict[str, Any]], now: float) -> dict[str, Any]:
+        name = objective.name
+        readings = [(sample["t"], sample[name]) for sample in samples if sample.get(name) is not None]
+        value = objective.sli(readings[-1][1]) if readings else 0.0
         windows: dict[str, dict[str, float]] = {}
         for window in self.windows:
-            in_window = self._window_samples(samples, now, window)
+            in_window = [reading for t, reading in readings if t >= now - window]
             if len(in_window) >= 2:
-                delta_total = in_window[-1][total_key] - in_window[0][total_key]
-                delta_bad = in_window[-1][bad_key] - in_window[0][bad_key]
-                rate = (delta_bad / delta_total) if delta_total > 0 else 0.0
+                sli = objective.sli([last - first for first, last in zip(in_window[0], in_window[-1])])
             else:
-                rate = value  # too few samples for a delta; fall back to cumulative
-            windows[_window_label(window)] = {
-                "value": rate,
-                "burn_rate": rate / objective.target,
-            }
-        return {
-            "name": objective.name,
-            "kind": "error_rate",
-            "target": objective.target,
-            "value": value,
-            "met": value <= objective.target,
-            "windows": windows,
-        }
-
-    def _evaluate_latency(
-        self, objective: LatencyObjective, samples: list[dict[str, Any]], now: float
-    ) -> dict[str, Any]:
-        key = f"lat.{objective.name}"
-        observed = [sample[key] for sample in samples if sample.get(key) is not None]
-        value = observed[-1] if observed else 0.0
-        windows: dict[str, dict[str, float]] = {}
-        for window in self.windows:
-            in_window = [
-                sample[key]
-                for sample in self._window_samples(samples, now, window)
-                if sample.get(key) is not None
-            ]
-            worst = max(in_window) if in_window else value
-            windows[_window_label(window)] = {
-                "value": worst,
-                "burn_rate": worst / objective.threshold_seconds,
-            }
-        return {
-            "name": objective.name,
-            "kind": "latency",
-            "target": objective.threshold_seconds,
-            "quantile": objective.quantile,
-            "value": value,
-            "met": value <= objective.threshold_seconds,
-            "windows": windows,
-        }
+                sli = value  # too few samples for a delta; fall back to the cumulative value
+            windows[_window_label(window)] = {"value": sli, "burn_rate": sli / objective.target}
+        entry = {"name": name, "kind": objective.kind, "target": objective.target}
+        if isinstance(objective, LatencyObjective):
+            entry["quantile"] = objective.quantile
+        return {**entry, "value": value, "met": value <= objective.target, "windows": windows}
 
     # ------------------------------------------------------------- exposition
     def snapshot(self, snapshot: Mapping[str, Any] | None = None) -> dict[str, Any]:

@@ -8,8 +8,10 @@ p95 in another without wondering which interpolation each used.
 
 The convention is *nearest-rank*: for ``n`` sorted samples the quantile
 ``f`` maps to index ``round(f * n) - 1`` clamped into ``[0, n - 1]``.  No
-interpolation, so every reported value is a sample that actually occurred.
-"""
+interpolation, so every value :func:`percentile` reports is a sample that
+occurred.  The serving histograms' all-time quantiles are the upper bound of
+the bucket holding that sample, clamped to the exact min and max: at most
+one bucket (about 19 %) above it."""
 
 from __future__ import annotations
 
@@ -49,9 +51,9 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
 def summarize(samples: Iterable[float]) -> dict[str, float]:
     """Count, sum, mean, min/max, and the standard quantiles of ``samples``.
 
-    This is the shape :meth:`repro.obs.metrics.LatencyHistogram.summary`
-    returns (with all-time count, sum, mean, min and max laid over it)
-    and ``repro-trace breakdown`` tabulates.  ``sum`` is
+    This is the shape ``repro-trace breakdown`` tabulates and, with bucket
+    quantiles and cumulative ``buckets`` counts,
+    :meth:`repro.obs.metrics.LatencyHistogram.summary` returns.  ``sum`` is
     exported so scrapers (the Prometheus exposition in
     :mod:`repro.obs.promtext`) can derive rates from consecutive
     ``sum``/``count`` pairs.

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Generic, TypeVar
 import numpy as np
 
 from repro.knowledge.knowledge_base import DEFAULT_TENANT
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricFamily, MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -141,6 +141,9 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_seconds
         self.metrics = metrics or MetricsRegistry()
+        # Resolved on first use, so a batcher that never flushed exports none.
+        self._counters = MetricFamily(self.metrics.counter, "batcher")
+        self._histograms = MetricFamily(self.metrics.histogram, "batcher")
         self._queue: "WeightedFairQueue[_PendingEncode]" = WeightedFairQueue()
         self._closed = threading.Event()
         # Serializes the closed-check-then-enqueue in submit() against
@@ -271,33 +274,34 @@ class MicroBatcher:
         # span its submitter captured; requests sharing a batch report the
         # same forward-pass window.
         tracer = get_tracer()
-        for item in batch:
-            tracer.record_span(
-                "router.embed_batch",
-                parent=item.parent_span,
-                start_seconds=flush_start,
-                end_seconds=flush_end,
-                batch_size=len(batch),
-                coalesced=len(batch) > 1,
-                featurize_seconds=round(timings.get("featurize_seconds", 0.0), 6),
-                forward_seconds=round(timings.get("forward_seconds", 0.0), 6),
-            )
-        self.metrics.counter("batcher.batches").increment()
-        self.metrics.counter("batcher.requests").increment(len(batch))
+        if tracer.enabled:
+            for item in batch:
+                tracer.record_span(
+                    "router.embed_batch",
+                    parent=item.parent_span,
+                    start_seconds=flush_start,
+                    end_seconds=flush_end,
+                    batch_size=len(batch),
+                    coalesced=len(batch) > 1,
+                    featurize_seconds=round(timings.get("featurize_seconds", 0.0), 6),
+                    forward_seconds=round(timings.get("forward_seconds", 0.0), 6),
+                )
+        self._counters["batches"].increment()
+        self._counters["requests"].increment(len(batch))
         if len(batch) > 1:
-            self.metrics.counter("batcher.coalesced_requests").increment(len(batch) - 1)
-        self.metrics.histogram("batcher.batch_size").record(float(len(batch)))
+            self._counters["coalesced_requests"].increment(len(batch) - 1)
+        self._histograms["batch_size"].record(float(len(batch)))
         for row, item in enumerate(batch):
             if not item.future.cancelled():
                 item.future.set_result(embeddings[row])
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> dict[str, float]:
-        batches = self.metrics.counter("batcher.batches").value
-        requests = self.metrics.counter("batcher.requests").value
+        batches = self._counters["batches"].value
+        requests = self._counters["requests"].value
         return {
             "batches": batches,
             "requests": requests,
-            "coalesced_requests": self.metrics.counter("batcher.coalesced_requests").value,
+            "coalesced_requests": self._counters["coalesced_requests"].value,
             "mean_batch_size": requests / batches if batches else 0.0,
         }

@@ -139,10 +139,12 @@ class ExplanationService:
             top_k=config.top_k, prompt_builder=prompt_builder,
         )
         self.metrics = MetricsRegistry()
-        # Resolved once: every L1 hit touches this and its tenant's counter.
-        self._warm_seconds = self.metrics.histogram("latency.warm_seconds")
+        # Resolved once (warm eagerly, the rest on first use): no registry lock per request.
+        self._latency = MetricFamily(self.metrics.histogram, "latency")
+        self._warm_seconds = self._latency["warm_seconds"]
         self._tenant_requests = MetricFamily(self.metrics.counter, "requests.tenant")
         self._rejected = MetricFamily(self.metrics.counter, "requests.rejected")
+        self._requests = MetricFamily(self.metrics.counter, "requests")
         self.cache = ServiceCache()
         self.batcher = MicroBatcher(router, metrics=self.metrics)
         self._executor = ThreadPoolExecutor(
@@ -357,15 +359,10 @@ class ExplanationService:
         """The result for a request answered from the L1 explanation cache."""
         total = time.perf_counter() - submitted_at
         self._warm_seconds.record(total)
-        root.set_attributes(status="ok", cache="l1_hit")
-        return ExplainResult(
-            request_id=request_id,
-            status=RequestStatus.OK,
-            explanation=cached,
-            cache_hit=True,
-            queue_seconds=queue_seconds,
-            total_seconds=total,
-        )
+        if root.enabled:
+            root.set_attributes(status="ok", cache="l1_hit")
+        # Positional, in field order: half the cost of keywords on the hottest path.
+        return ExplainResult(request_id, RequestStatus.OK, cached, None, True, False, queue_seconds, total)
 
     def _cut_short(
         self, request: ExplainRequest, root: "Span", queue_seconds: float,
@@ -412,7 +409,7 @@ class ExplanationService:
             with get_tracer().attach(root):
                 result = self._process(request, normalized, cache_key, root)
         except Exception as exc:  # noqa: BLE001 - typed result, never raise
-            self.metrics.counter("requests.failed").increment()
+            self._requests["failed"].increment()
             root.set_attributes(status="failed", error=type(exc).__name__)
             result = ExplainResult.failure(
                 request.request_id,
@@ -431,7 +428,7 @@ class ExplanationService:
     ) -> ExplainResult:
         started = time.perf_counter()
         queue_seconds = started - request.submitted_at
-        self.metrics.histogram("latency.queue_seconds").record(queue_seconds)
+        self._latency["queue_seconds"].record(queue_seconds)
         root.set_attribute("queue_seconds", round(queue_seconds, 6))
         if request.expired(started):
             return self._deadline_exceeded(
@@ -506,7 +503,7 @@ class ExplanationService:
         )
         levels.explanations.put(cache_key, explanation, epoch=explanation_epoch)
         total = time.perf_counter() - request.submitted_at
-        self.metrics.histogram("latency.cold_seconds").record(total)
+        self._latency["cold_seconds"].record(total)
         root.set_attributes(status="ok")
         return ExplainResult(
             request_id=request.request_id,

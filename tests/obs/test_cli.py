@@ -148,15 +148,53 @@ def test_serve_smoke_requires_the_request_totals(capsys):
     from repro.obs.cli import _smoke
     from repro.obs.health import HealthCheck, HealthReport
     from repro.obs.server import AdminServer
+    from repro.obs.slo import SLOTracker
 
     snapshot = {"requests.tenant.default": 2}
     admin = AdminServer(
         port=0,
         snapshot_providers=(lambda: snapshot,),
         health=lambda: HealthReport(checks=(HealthCheck("alive", True, "up"),)),
+        slo=SLOTracker(),
     )
     with admin:
         assert _smoke(admin.url) == 1
         assert "repro_requests_submitted " in capsys.readouterr().err
         snapshot.update({"requests.submitted": 2, "requests.ok": 2})
+        assert _smoke(admin.url) == 0
+
+
+def test_serve_smoke_checks_quantile_order_and_slo_values(capsys):
+    from repro.obs.cli import _smoke
+    from repro.obs.health import HealthCheck, HealthReport
+    from repro.obs.server import AdminServer
+    from repro.obs.slo import SLOTracker
+
+    latency_value = [0.0]
+
+    class Tracker(SLOTracker):
+        def evaluate(self, snapshot=None):
+            evaluation = super().evaluate(snapshot)
+            evaluation["objectives"][0]["value"] = latency_value[0]  # request_latency
+            return evaluation
+
+    snapshot = {
+        "requests.submitted": 1,
+        "requests.ok": 1,
+        "latency.cold_seconds": {"count": 1, "p50": 0.2, "p95": 0.1, "p99": 0.3},
+    }
+    admin = AdminServer(
+        port=0,
+        snapshot_providers=(lambda: snapshot,),
+        health=lambda: HealthReport(checks=(HealthCheck("alive", True, "up"),)),
+        slo=Tracker(),
+    )
+    with admin:
+        assert _smoke(admin.url) == 1
+        assert "repro_latency_cold_seconds quantiles out of order" in capsys.readouterr().err
+        snapshot["latency.cold_seconds"] = {"count": 1, "p50": 0.1, "p95": 0.2, "p99": 0.3}
+        latency_value[0] = float("nan")
+        assert _smoke(admin.url) == 1
+        assert "/slo: request_latency values" in capsys.readouterr().err
+        latency_value[0] = 0.2
         assert _smoke(admin.url) == 0

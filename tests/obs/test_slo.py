@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import pytest
 
+from repro.obs.metrics import BUCKET_BOUNDS, LatencyHistogram
 from repro.obs.promtext import render_prometheus
 from repro.obs.slo import (
     ErrorRateObjective,
@@ -54,6 +57,8 @@ def test_objective_validation():
     with pytest.raises(ValueError):
         ErrorRateObjective(name="x", total=("t",), bad=("b",), target=1.5)
     with pytest.raises(ValueError):
+        LatencyObjective(name="x", metric="m", threshold_seconds=1.0, quantile="max")
+    with pytest.raises(ValueError):
         SLOTracker(windows=())
 
 
@@ -102,19 +107,41 @@ def test_old_samples_age_out_of_short_windows():
 
 
 # -------------------------------------------------------------------- latency
-def test_latency_burn_is_worst_quantile_in_window():
+def test_latency_window_sees_a_jump_the_long_window_does_not():
+    """A latency jump in the last minute burns the 60 s window; the 1,800 s
+    window's bucket delta is still mostly fast requests, and so is the
+    all-time quantile."""
+    clock = FakeClock()
+    tracker = SLOTracker(objectives=(LATENCY,), windows=(60.0, 300.0, 1800.0), clock=clock)
+    histogram = LatencyHistogram()
+    for _minute in range(30):
+        for _ in range(100):
+            histogram.record(0.1)
+        tracker.observe({"stage.service.explain": histogram.summary()})
+        clock.advance(60.0)
+    for _ in range(100):
+        histogram.record(2.0)
+    entry = tracker.evaluate({"stage.service.explain": histogram.summary()})["objectives"][0]
+    fast = BUCKET_BOUNDS[bisect_left(BUCKET_BOUNDS, 0.1)]  # 0.1's bucket bound, about 0.105
+    assert entry["windows"]["60s"]["value"] == 2.0
+    assert entry["windows"]["60s"]["burn_rate"] == pytest.approx(4.0)
+    assert entry["windows"]["300s"]["value"] == 2.0  # 100 of 500 samples are slow
+    assert entry["windows"]["1800s"]["value"] == pytest.approx(fast)
+    assert entry["windows"]["1800s"]["burn_rate"] < 0.25
+    assert entry["value"] == pytest.approx(fast) and entry["met"]
+
+
+def test_latency_window_without_a_delta_falls_back_to_all_time():
     clock = FakeClock()
     tracker = make_tracker(clock, LATENCY)
-    tracker.observe({"stage.service.explain": {"count": 10, "p50": 0.1, "p95": 0.8}})
-    clock.advance(30.0)
-    evaluation = tracker.evaluate(
-        {"stage.service.explain": {"count": 20, "p50": 0.1, "p95": 0.2}}
-    )
-    entry = evaluation["objectives"][0]
-    assert entry["value"] == pytest.approx(0.2)  # latest
-    assert entry["windows"]["60s"]["value"] == pytest.approx(0.8)  # worst in window
-    assert entry["windows"]["60s"]["burn_rate"] == pytest.approx(1.6)
-    assert entry["met"]  # the *latest* quantile is within budget
+    histogram = LatencyHistogram()
+    for _ in range(20):
+        histogram.record(0.8)
+    entry = tracker.evaluate({"stage.service.explain": histogram.summary()})["objectives"][0]
+    slow = BUCKET_BOUNDS[bisect_left(BUCKET_BOUNDS, 0.8)]  # 0.8's bucket bound, about 0.84
+    assert entry["value"] == entry["windows"]["60s"]["value"] == pytest.approx(slow)
+    assert entry["windows"]["60s"]["burn_rate"] == pytest.approx(slow / 0.5)
+    assert not entry["met"]
 
 
 def test_latency_missing_metric_is_zero_burn():

@@ -35,8 +35,8 @@ HEAD_DROPPED = ("req-2", "req-3", "req-6", "req-7")
 #: sha256 of the renumbered retained traces and log lines, as JSON.
 GOLDEN_TRACES_SHA256 = "c779c55ee034e0243fe70dc4a8021f09d0a05932f0f02f02dcb3aa04d33f1eaa"
 #: sha256 of ``stage_snapshot()`` as JSON, and of its Prometheus text.
-GOLDEN_SNAPSHOT_SHA256 = "8a19a39c228203306a3d98a9fad88f311ba4577dac8f28e98dfc76e56994bd6c"
-GOLDEN_PROMETHEUS_SHA256 = "4e67355d62610398c6b232f7523f2d5ef2026072f2f6f2729d064fc5861fed9b"
+GOLDEN_SNAPSHOT_SHA256 = "324ed001db66a89886933bf253cdb07f60b9c80321391de3ee8b90950c739be5"
+GOLDEN_PROMETHEUS_SHA256 = "2f67fcaf4c4b8ebaafd01be663a8e7cbc158ee509c54e57bcdd2eae5cfdc317b"
 #: The readable part of the same values: one row per retained trace (newest
 #: first) and the snapshot's counters.
 GOLDEN_TRACE_ROWS = [

@@ -8,6 +8,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricFamily
 from repro.obs.promtext import METRIC_LINE
 from repro.obs.sampling import Sampler
 from repro.obs.store import TraceStore
@@ -120,8 +121,7 @@ def test_batcher_survives_an_error_in_flush_bookkeeping(service_stack, monkeypat
         system, router, knowledge_base, llm, config=ServiceConfig(max_workers=2, admin_port=0)
     )
     try:
-        metrics = service.batcher.metrics
-        real_counter = metrics.counter
+        real_counter = service.batcher.metrics.counter
         injected: list[str] = []
 
         def faulty_counter(name: str):
@@ -130,7 +130,7 @@ def test_batcher_survives_an_error_in_flush_bookkeeping(service_stack, monkeypat
                 raise RuntimeError("injected bookkeeping fault")
             return real_counter(name)
 
-        monkeypatch.setattr(metrics, "counter", faulty_counter)
+        monkeypatch.setattr(service.batcher, "_counters", MetricFamily(faulty_counter, "batcher"))
         pair = labeled[0].execution.plan_pair
         with pytest.raises(RuntimeError, match="injected bookkeeping fault"):
             service.batcher.submit(pair).result(timeout=1.0)

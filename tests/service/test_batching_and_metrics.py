@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 
 from repro.service.batching import MicroBatcher
-from repro.obs.metrics import MAX_SAMPLES, LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import BUCKET_BOUNDS, LatencyHistogram, MetricsRegistry
 
 
 # --------------------------------------------------------------- batching
@@ -130,31 +131,29 @@ def test_counter_and_registry():
 
 
 def test_histogram_percentiles():
+    """Quantiles are the upper bound of the nearest-rank sample's bucket,
+    clamped to the exact min and max; count, sum and mean are exact."""
     histogram = LatencyHistogram()
     for value in range(1, 101):  # 0.01 .. 1.00
         histogram.record(value / 100.0)
     summary = histogram.summary()
     assert summary["count"] == 100
     assert summary["min"] == 0.01
-    assert summary["p50"] == 0.50
-    assert summary["p95"] == 0.95
-    assert summary["p99"] == 0.99
+    assert summary["p50"] == 0.50  # 2 ** -1 is a bucket bound
+    assert summary["p95"] == 1.0  # 0.95 lies in (2 ** -0.25, 1.0], clamped to max
+    assert summary["p99"] == 1.0
     assert summary["max"] == 1.0
     assert abs(summary["mean"] - 0.505) < 1e-9
     assert abs(summary["sum"] - 50.5) < 1e-9
+    assert summary["buckets"][-1] == 100
+    assert summary["buckets"][BUCKET_BOUNDS.index(0.5)] == 50  # "le" semantics
 
 
-def test_histogram_bounded_memory():
-    histogram = LatencyHistogram()
-    total = MAX_SAMPLES + 1000
-    for value in range(total):
-        histogram.record(float(value))
-    assert histogram.count == total
-    summary = histogram.summary()
-    assert summary["count"] == total
-    assert summary["max"] == total - 1.0
-    # Retained window is the most recent overwrites; percentile still sane.
-    assert 0.0 <= summary["p50"] <= total - 1.0
+def test_bucket_bounds_put_powers_of_two_on_edges():
+    assert len(BUCKET_BOUNDS) == 113
+    assert BUCKET_BOUNDS[0] == 2.0 ** -20 and BUCKET_BOUNDS[-1] == 256.0
+    assert all(size in BUCKET_BOUNDS for size in (1.0, 2.0, 4.0, 8.0, 16.0))
+    assert all(abs(b / a - 2 ** 0.25) < 1e-12 for a, b in zip(BUCKET_BOUNDS, BUCKET_BOUNDS[1:]))
 
 
 def test_empty_histogram_summary():
@@ -167,25 +166,74 @@ def test_empty_histogram_summary():
         "p95": 0.0,
         "p99": 0.0,
         "max": 0.0,
+        "buckets": (0,) * (len(BUCKET_BOUNDS) + 1),
     }
 
 
-def test_histogram_min_survives_ring_overwrite():
-    """``min`` is all-time, not window-bound: the smallest sample must
-    still be reported after the ring has overwritten it."""
+def test_histogram_quantiles_clamp_to_exact_min_and_max():
+    """A histogram of one repeated value reports that value, not its
+    bucket's bound; a sample past the last bound lands in overflow."""
     histogram = LatencyHistogram()
-    histogram.record(0.001)
-    for value in range(10, 10 + MAX_SAMPLES):
+    for _ in range(10):
+        histogram.record(0.3)
+    assert {histogram.summary()[key] for key in ("min", "p50", "p95", "p99", "max")} == {0.3}
+    histogram.record(1000.0)
+    summary = histogram.summary()
+    assert summary["max"] == summary["p99"] == 1000.0
+    assert summary["buckets"][-2:] == (10, 11)
+
+
+def test_histogram_bounded_memory():
+    """Memory is one fixed bucket array per writing thread, whatever the
+    traffic; count and max stay exact."""
+    histogram = LatencyHistogram()
+    total = 20_000
+    for value in range(total):
         histogram.record(float(value))
     summary = histogram.summary()
-    assert summary["min"] == 0.001
-    assert summary["max"] == 9.0 + MAX_SAMPLES
+    assert summary["count"] == total
+    assert summary["max"] == total - 1.0
+    assert 0.0 <= summary["p50"] <= total - 1.0
+    (cell,) = histogram._cells
+    assert len(cell.counts) == len(summary["buckets"]) == len(BUCKET_BOUNDS) + 1
+
+
+def _run_threads(count: int, target, *args) -> None:
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(i, *args)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_sharded_metrics_are_exact_after_their_threads_exit():
+    """16 threads × 10,000 lock-free writes each: every write is counted,
+    and the cells of threads that have exited still count."""
+    registry = MetricsRegistry()
+    counter, histogram = registry.counter("writes"), registry.histogram("latency")
+
+    def writer(index: int) -> None:
+        for _ in range(10_000):
+            counter.increment()
+            histogram.record(float(index + 1))
+
+    _run_threads(16, writer)
+    summary = registry.snapshot()["latency"]
+    assert counter.value == 160_000 and summary["count"] == 160_000
+    assert summary["sum"] == 10_000 * sum(range(1, 17))
+    assert (summary["min"], summary["max"]) == (1.0, 16.0)
+    assert summary["buckets"][BUCKET_BOUNDS.index(4.0)] == 40_000
 
 
 def test_snapshot_under_concurrent_writers():
-    """Satellite: snapshot() racing 16 writer threads must never raise or
-    return malformed summaries (the sorted-cache is invalidated by record
-    and rebuilt by summary under the same per-histogram lock)."""
+    """snapshot() racing 16 writer threads never raises, returns ordered
+    quantiles inside [min, max], and never goes back between snapshots."""
     registry = MetricsRegistry()
     names = [f"stage.s{i}" for i in range(4)]
     stop = threading.Event()
@@ -203,6 +251,7 @@ def test_snapshot_under_concurrent_writers():
     threads = [threading.Thread(target=writer, args=(i,)) for i in range(16)]
     for thread in threads:
         thread.start()
+    previous: dict[str, object] = {}
     try:
         for _ in range(200):
             snapshot = registry.snapshot()
@@ -211,11 +260,17 @@ def test_snapshot_under_concurrent_writers():
                 if summary is None:  # histogram not created yet
                     continue
                 assert summary["count"] >= 1
-                assert summary["min"] <= summary["p50"] <= summary["max"]
-                assert summary["sum"] >= summary["max"]
+                assert summary["min"] <= summary["p50"] <= summary["p95"] <= summary["p99"] <= summary["max"]
+                if name in previous:
+                    before = previous[name]
+                    assert summary["count"] >= before["count"] and summary["sum"] >= before["sum"]
+                    assert all(now >= then for now, then in zip(summary["buckets"], before["buckets"]))
+            assert snapshot.get("writes", 0) >= previous.get("writes", 0)
+            previous = snapshot
     finally:
         stop.set()
         for thread in threads:
             thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors
     assert registry.snapshot()["writes"] > 0

@@ -473,7 +473,7 @@ class _CountingLock:
 
 
 @pytest.mark.parametrize("mode", ["untraced", "traced", "sampled"])
-def test_hit_builds_no_request_and_untraced_takes_three_locks(
+def test_hit_builds_no_request_and_untraced_takes_one_lock(
     system, trained_router, knowledge_base, simulated_llm, monkeypatch, mode
 ):
     built = []
@@ -485,6 +485,7 @@ def test_hit_builds_no_request_and_untraced_takes_three_locks(
 
     monkeypatch.setattr(server, "ExplainRequest", CountedRequest)
     monkeypatch.setattr(threading, "Lock", _CountingLock)
+    monkeypatch.setattr(_CountingLock, "acquired", 0)
     sampler = Sampler(head_probability=0.5, slow_threshold_seconds=None)
     tracing = {"untraced": contextlib.nullcontext(), "traced": traced(), "sampled": traced(sampler=sampler)}
     service = ExplanationService(system, trained_router, knowledge_base, simulated_llm)
@@ -492,15 +493,20 @@ def test_hit_builds_no_request_and_untraced_takes_three_locks(
         with tracing[mode]:
             assert not service.explain(SQL).cache_hit
             assert len(built) == 1  # the miss
+            # The thread's first hit registers its cells in the metrics it writes.
+            results = [service.explain(SQL)]
             monkeypatch.setattr(_CountingLock, "thread", threading.get_ident())
-            results = [service.explain(SQL) for _ in range(8)]
+            results += [service.explain(SQL) for _ in range(8)]
             monkeypatch.setattr(_CountingLock, "thread", None)
     finally:
         service.shutdown()
     assert all(result.cache_hit for result in results)
     assert len(built) == 1, "a hit built an ExplainRequest"
-    if mode == "untraced":  # the tenant counter, the L1 get and the warm histogram
-        assert _CountingLock.acquired == 3 * len(results)
+    # The L1 get; metric writes take none.  A traced hit adds the tracer lock
+    # for each of its two spans and the trace store's.
+    locks_per_hit = {"untraced": 1, "traced": 4}
+    if mode in locks_per_hit:
+        assert _CountingLock.acquired == locks_per_hit[mode] * 8
 
 
 # ------------------------------------------------------------------ tracing
